@@ -12,7 +12,6 @@ from .diagram import (
     box,
     diagram_from_json,
     diagram_to_json,
-    essential_dims,
     essential_reduce,
     from_generators,
     from_points,

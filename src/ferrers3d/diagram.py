@@ -15,9 +15,13 @@ first layer, flips, reductions and plane profiles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidInput, NotFerrers, NotInDiagram
+
+#: First-layer order flavors.
+INDUCTION = "induction"
+LEX = "lex"
 
 
 class Point(NamedTuple):
@@ -108,12 +112,6 @@ class Diagram:
 
     # -- derived diagrams -------------------------------------------------------
 
-    def tail(self) -> "Diagram | None":
-        """The part above the first layer, re-indexed to start at x=1."""
-        if len(self.layers) == 1:
-            return None
-        return Diagram(self.layers[1:])
-
     def flip(self) -> "Diagram":
         """The image under (i, j, k) -> (i, k, j); conjugates every layer."""
         return Diagram(tuple(_conjugate(layer) for layer in self.layers))
@@ -163,6 +161,11 @@ class OrderedPointList:
 # ---------------------------------------------------------------------------
 
 
+def _is_int(value: object) -> bool:
+    """An int that is not a bool (JSON true/false must not pass as 1/0)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate(layers: Iterable[Iterable[int]]) -> Diagram:
     """Build a diagram from layer height lists, checking all invariants.
 
@@ -177,7 +180,7 @@ def validate(layers: Iterable[Iterable[int]]) -> Diagram:
         if not layer:
             raise InvalidInput(f"layer {i} is empty")
         for j, h in enumerate(layer, start=1):
-            if not isinstance(h, int) or h < 1:
+            if not _is_int(h) or h < 1:
                 raise NotFerrers(f"height at (i={i}, j={j}) is {h}, expected a positive integer")
             if j > 1 and h > layer[j - 2]:
                 raise NotFerrers(
@@ -275,11 +278,6 @@ def essential_reduce(obj: "Diagram | Iterable[Sequence[int]]") -> Diagram:
     return reduce_points(obj)[0]
 
 
-def essential_dims(diagram: Diagram) -> tuple[int, int, int]:
-    """Essential length, width and height (distinct i, j, k values)."""
-    return diagram.a, diagram.b, diagram.c
-
-
 # ---------------------------------------------------------------------------
 # coordinate statistics and zones
 # ---------------------------------------------------------------------------
@@ -336,19 +334,6 @@ def has_projection_property(diagram: Diagram) -> bool:
     return True
 
 
-def projection_property_by_pairs(diagram: Diagram) -> bool:
-    """Pairwise form of the projection property: any mixed pair (j1, k2)
-    taken from two points of layer i+1 appears in layer i.  Quadratic; used
-    to cross-check :func:`has_projection_property`."""
-    for i in range(1, diagram.a):
-        nxt = diagram.layer_points(i + 1)
-        for p in nxt:
-            for q in nxt:
-                if (i, p.j, q.k) not in diagram:
-                    return False
-    return True
-
-
 def has_strong_projection_property(diagram: Diagram) -> bool:
     """Projection property plus full-height corner columns: layer i must
     reach height c_i at column b_{i+1} and height c_{i+1} at column b_i
@@ -363,61 +348,38 @@ def has_strong_projection_property(diagram: Diagram) -> bool:
     return True
 
 
-def strong_projection_by_zones(diagram: Diagram) -> bool:
-    """Zone form of the strong projection property: no point of a deeper
-    layer lies in zone 1 or zone 6 of any point.  Used as a test oracle."""
-    for i in range(1, diagram.a):
-        for u in diagram.layer_points(i):
-            zm = zones(diagram, u)
-            if any(p.i > i for p in zm.z1) or any(p.i > i for p in zm.z6):
-                return False
-    return True
-
-
-def strong_projection_by_bounds(diagram: Diagram) -> bool:
-    """Bound form of the strong projection property: the next layer's width
-    and height never exceed beta and gamma of any point of the current
-    layer.  Used as a test oracle."""
-    for i in range(1, diagram.a):
-        b_next = diagram.layer_width(i + 1)
-        c_next = diagram.layer_height(i + 1)
-        for u in diagram.layer_points(i):
-            _, beta, gamma = alpha_beta_gamma(diagram, u)
-            if b_next > beta or c_next > gamma:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # orders on the first layer
 # ---------------------------------------------------------------------------
 
 
-def first_stage_height(diagram: Diagram) -> int:
-    """Height cutoff of the induction order's first stage: the essential
-    height of the part above layer 1 (0 when there is no such part)."""
-    return diagram.layer_height(2)
+def order_key(diagram: Diagram, flavor: str) -> Callable[[Point], tuple[int, ...]]:
+    """Sort key of the first-layer order of the given flavor.
+
+    The lexicographic order runs on (j, k).  The induction order has two
+    stages: stage one walks the points whose height stays within the
+    essential height of layer 2, column by column (lexicographically in
+    (j, k)); stage two walks the remaining points row by row
+    (lexicographically in (k, j)), matching a flip followed by the
+    lexicographic order.  When the diagram has a single layer the cutoff is
+    0 and the whole layer is stage two.
+    """
+    if flavor == LEX:
+        return lambda p: (p.j, p.k)
+    c2 = diagram.layer_height(2)
+    return lambda p: (0, p.j, p.k) if p.k <= c2 else (1, p.k, p.j)
 
 
 def induction_order(diagram: Diagram) -> OrderedPointList:
-    """First-layer order used by the shedding recursion.
-
-    Stage one walks the points whose height stays within the tail's height
-    cutoff, column by column (lexicographically in (j, k)).  Stage two walks
-    the remaining points row by row (lexicographically in (k, j)), matching
-    a flip followed by the lexicographic order.  When the diagram has a
-    single layer the cutoff is 0 and the whole layer is stage two.
-    """
-    c2 = first_stage_height(diagram)
-    layer = diagram.layer_points(1)
-    stage1 = sorted((p for p in layer if p.k <= c2), key=lambda p: (p.j, p.k))
-    stage2 = sorted((p for p in layer if p.k > c2), key=lambda p: (p.k, p.j))
-    return OrderedPointList(tuple(stage1 + stage2), "induction")
+    """First-layer order used by the shedding recursion."""
+    key = order_key(diagram, INDUCTION)
+    return OrderedPointList(tuple(sorted(diagram.layer_points(1), key=key)), INDUCTION)
 
 
 def lex_order(diagram: Diagram) -> OrderedPointList:
     """First-layer points in plain lexicographic order on (j, k)."""
-    return OrderedPointList(tuple(sorted(diagram.layer_points(1))), "lex")
+    key = order_key(diagram, LEX)
+    return OrderedPointList(tuple(sorted(diagram.layer_points(1), key=key)), LEX)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +418,7 @@ def diagram_from_json(data: object) -> Diagram:
         return validate(layers)
     gens = data["generators"]
     if not isinstance(gens, list) or not all(
-        isinstance(g, list) and len(g) == 3 and all(isinstance(v, int) for v in g) for g in gens
+        isinstance(g, list) and len(g) == 3 and all(_is_int(v) for v in g) for g in gens
     ):
         raise InvalidInput("'generators' must be a list of [i, j, k] triples")
     return from_generators(gens)

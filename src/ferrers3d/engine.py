@@ -23,10 +23,13 @@ from dataclasses import dataclass
 
 from . import kernels, minors
 from .diagram import (
+    INDUCTION,
+    LEX,
     Diagram,
     Point,
     has_projection_property,
     has_strong_projection_property,
+    order_key,
     reduce_points,
     validate,
     zones,
@@ -36,8 +39,10 @@ from .oracle import InvariantsReport, complex_summary
 
 log = logging.getLogger(__name__)
 
-INDUCTION = "induction"
-LEX = "lex"
+#: Largest host size whose links are also checked against the literal graph link.
+VALIDATE_LIMIT = 24
+#: Largest link a failed validation can be repaired for by facet enumeration.
+FALLBACK_LIMIT = 24
 
 
 class _Sentinel:
@@ -60,13 +65,6 @@ class SuffixState:
     flavor: str
 
 
-def _order_key(host: Diagram, flavor: str):
-    if flavor == LEX:
-        return lambda p: (0, p.j, p.k)
-    c2 = host.layer_height(2)
-    return lambda p: (0, p.j, p.k) if p.k <= c2 else (1, p.k, p.j)
-
-
 def _stage_two(host: Diagram, p: Point) -> bool:
     return p.k > host.layer_height(2)
 
@@ -76,13 +74,13 @@ def realized_set(s: SuffixState) -> frozenset[Point]:
     deep = (p for p in s.host.points() if p.i >= 2)
     if isinstance(s.start, _Sentinel):
         return frozenset(deep)
-    key = _order_key(s.host, s.flavor)
+    key = order_key(s.host, s.flavor)
     cutoff = key(s.start)
     return frozenset(deep) | frozenset(p for p in s.host.layer_points(1) if key(p) >= cutoff)
 
 
 def _successor(s: SuffixState) -> SuffixState:
-    key = _order_key(s.host, s.flavor)
+    key = order_key(s.host, s.flavor)
     cutoff = key(s.start)
     later = [p for p in s.host.layer_points(1) if key(p) > cutoff]
     nxt = min(later, key=key) if later else PAST_LAYER_1
@@ -130,22 +128,16 @@ def suffix_state_from_json(data: dict) -> SuffixState:
 class Engine:
     """Memoized evaluator for suffix states.
 
-    ``validate_limit`` bounds the host size up to which links are checked
-    against the graph-level definition; ``fallback_limit`` bounds the link
-    size up to which a failed validation can be repaired by direct facet
-    enumeration; ``cache_cap`` bounds the memo (LRU eviction, None means
-    unbounded).
+    ``cache_cap`` bounds the memo (LRU eviction, None means unbounded).
 
-    The recursion is referentially transparent, so concurrent use from
-    several threads is safe: every writer stores the same value under a
-    given key and last write wins.
+    An ``Engine`` must not be shared between threads: the memo and the
+    statistics are updated without a lock, and with ``cache_cap`` set one
+    thread's eviction can remove an entry between another thread's lookup
+    and its reordering.
     """
 
-    def __init__(self, cache_cap: int | None = None, validate_limit: int = 24,
-                 fallback_limit: int = 24):
+    def __init__(self, cache_cap: int | None = None):
         self.cache_cap = cache_cap
-        self.validate_limit = validate_limit
-        self.fallback_limit = fallback_limit
         self._memo: OrderedDict = OrderedDict()
         self.stats = {"states": 0, "cache_hits": 0, "link_checks": 0, "fallbacks": 0}
 
@@ -163,9 +155,6 @@ class Engine:
         self._memo[key] = val
         if self.cache_cap is not None and len(self._memo) > self.cache_cap:
             self._memo.popitem(last=False)
-
-    def clear_cache(self) -> None:
-        self._memo.clear()
 
     # -- public entry points ----------------------------------------------------
 
@@ -238,10 +227,7 @@ class Engine:
     # -- internals ---------------------------------------------------------------
 
     def _full_value(self, diagram: Diagram, flavor: str) -> tuple[int, int]:
-        if flavor == LEX and not has_strong_projection_property(diagram):
-            flavor = INDUCTION
-        first = min(diagram.layer_points(1), key=_order_key(diagram, flavor))
-        return self.suffix_invariants(SuffixState(diagram, first, flavor))
+        return self.suffix_invariants(_first_state(diagram, flavor))
 
     def _tail_value(self, host: Diagram, flavor: str) -> tuple[int, int]:
         deep = [p for p in host.points() if p.i >= 2]
@@ -283,84 +269,34 @@ class Engine:
             target = z1_deep | z3_deep | z5_top | z6_top | high_top
             ambient = (set(zm.z3) | z5_top | z6_top
                        | {p for p in host.points() if p.j <= u.j and p.k > cap})
-            link = self._ambient_successor_state(ambient, u, INDUCTION)
+            start = u
         else:
             b2 = host.layer_width(2)
             if u.j > b2:
                 target = z1_deep | z3_deep | z5_top | z6_top
                 side = z5_top | z6_top
-                ambient = {p for p in (zm.z1 | zm.z3) if p.j < u.j} | side
                 if side:
-                    link = self._ambient_start_state(ambient, Point(1, u.j + 1, 1), LEX)
+                    ambient = {p for p in (zm.z1 | zm.z3) if p.j < u.j} | side
+                    start = Point(1, u.j + 1, 1)
                 else:
-                    link = self._fresh_state(target, s.flavor)
+                    ambient, start = target, None
             else:
                 if z1_deep:
                     # no zone-formula construction applies; force the fallback
                     return SuffixState(host, u, s.flavor), False
                 target = z3_deep | z5_top | z6_top
-                ambient = set(zm.z3) | z5_top | z6_top
                 side = z5_top | z6_top
-                if side:
-                    link = self._ambient_start_state(ambient, min(side), LEX)
-                else:
-                    link = self._ambient_past_state(ambient, LEX)
+                ambient = set(zm.z3) | side
+                start = min(side) if side else PAST_LAYER_1
 
+        link = _reduced_state(ambient, start, s.flavor)
         if link is None:
             return SuffixState(host, u, s.flavor), False
         state, unmap = link
+        if s.flavor == INDUCTION:
+            state = _successor(state)  # the link starts right after u
         ok = self._validate_link(s, state, unmap, target)
         return state, ok
-
-    def _reduce(self, ambient):
-        red, vals = reduce_points(ambient)
-        ivals, jvals, kvals = vals
-        imap = {v: t for t, v in enumerate(ivals, start=1)}
-        jmap = {v: t for t, v in enumerate(jvals, start=1)}
-        kmap = {v: t for t, v in enumerate(kvals, start=1)}
-
-        def fwd(p: Point) -> Point:
-            return Point(imap[p.i], jmap[p.j], kmap[p.k])
-
-        def unmap(p: Point) -> Point:
-            return Point(ivals[p.i - 1], jvals[p.j - 1], kvals[p.k - 1])
-
-        return red, fwd, unmap
-
-    def _ambient_successor_state(self, ambient, u, flavor):
-        """State starting right after u in the reduced ambient's order."""
-        try:
-            red, fwd, unmap = self._reduce(ambient)
-        except (NotFerrers, InvalidInput):
-            return None
-        return _successor(SuffixState(red, fwd(u), flavor)), unmap
-
-    def _ambient_start_state(self, ambient, start, flavor):
-        try:
-            red, fwd, unmap = self._reduce(ambient)
-        except (NotFerrers, InvalidInput):
-            return None
-        return SuffixState(red, fwd(start), flavor), unmap
-
-    def _ambient_past_state(self, ambient, flavor):
-        try:
-            red, _, unmap = self._reduce(ambient)
-        except (NotFerrers, InvalidInput):
-            return None
-        return SuffixState(red, PAST_LAYER_1, flavor), unmap
-
-    def _fresh_state(self, points, flavor):
-        """Full-diagram state over a bare point set (no layer-1 ambient part)."""
-        if not points:
-            return None
-        try:
-            red, _, unmap = self._reduce(points)
-        except (NotFerrers, InvalidInput):
-            return None
-        if flavor == LEX and not has_strong_projection_property(red):
-            flavor = INDUCTION
-        first = min(red.layer_points(1), key=_order_key(red, flavor))
-        return SuffixState(red, first, flavor), unmap
 
     def _validate_link(self, s, link, unmap, target) -> bool:
         if not has_projection_property(link.host):
@@ -368,50 +304,80 @@ class Engine:
         back = {unmap(p) for p in realized_set(link)}
         if back != target:
             return False
-        if s.host.size <= self.validate_limit:
+        if s.host.size <= VALIDATE_LIMIT:
             self.stats["link_checks"] += 1
             if not self._graph_link_agrees(s, link):
                 return False
         return True
 
     def _graph_link_agrees(self, s, link) -> bool:
-        """Compare facet counts of the literal graph link (non-neighbors of
-        the start vertex; cone vertices do not change the count) and of the
-        returned state's complex."""
-        S = sorted(realized_set(s))
-        edges = minors.leading_edges(S)
-        nbrs = {q for e in edges if s.start in e for q in e} - {s.start}
-        rest = [p for p in S if p != s.start and p not in nbrs]
-        direct = len(_mis_of(rest, {e for e in edges if e <= set(rest)}))
+        """Compare facet counts of the literal graph link (cone vertices do
+        not change the count) and of the returned state's complex."""
+        direct = _facet_count(*_literal_link(s))
         stated = sorted(realized_set(link))
-        via_state = len(_mis_of(stated, minors.leading_edges(stated)))
-        return direct == via_state
+        return direct == _facet_count(stated, minors.leading_edges(stated))
 
     def _link_by_facets(self, s) -> tuple[int, int]:
         """Fallback: invariants of the literal graph link by enumeration."""
-        S = sorted(realized_set(s))
-        edges = minors.leading_edges(S)
-        nbrs = {q for e in edges if s.start in e for q in e} - {s.start}
-        rest = [p for p in S if p != s.start and p not in nbrs]
-        if len(rest) > self.fallback_limit:
+        rest, edges = _literal_link(s)
+        if len(rest) > FALLBACK_LIMIT:
             raise LinkMismatch(
                 f"link of {tuple(s.start)} failed validation and has {len(rest)} vertices, "
-                f"beyond the fallback limit {self.fallback_limit}"
+                f"beyond the fallback limit {FALLBACK_LIMIT}"
             )
-        summary = complex_summary(rest, {e for e in edges if e <= set(rest)},
-                                  limit=self.fallback_limit)
+        summary = complex_summary(rest, edges, limit=FALLBACK_LIMIT)
         reg = max((t for t, h in enumerate(summary.h_vector) if h != 0), default=0)
         return reg, summary.f_vector[-1]
 
 
-def _mis_of(points, edges) -> list[int]:
-    order = {p: t for t, p in enumerate(points)}
-    adj = [0] * len(points)
-    for e in edges:
-        p, q = tuple(e)
-        adj[order[p]] |= 1 << order[q]
-        adj[order[q]] |= 1 << order[p]
-    return kernels.maximal_independent_sets(adj)
+def _first_state(diagram: Diagram, flavor: str) -> SuffixState:
+    """The state of the whole diagram; lex falls back to the induction
+    order when the diagram lacks the strong projection property."""
+    if flavor == LEX and not has_strong_projection_property(diagram):
+        flavor = INDUCTION
+    first = min(diagram.layer_points(1), key=order_key(diagram, flavor))
+    return SuffixState(diagram, first, flavor)
+
+
+def _reduced_state(ambient, start, flavor):
+    """The suffix state over an ambient point set with its empty slices
+    collapsed, together with the map back to ambient coordinates.
+
+    ``start`` is a first-layer point of the ambient, ``PAST_LAYER_1``, or
+    None for the whole reduced diagram.  Returns None when the ambient does
+    not collapse to a Ferrers diagram.
+    """
+    try:
+        red, (ivals, jvals, kvals) = reduce_points(ambient)
+    except (NotFerrers, InvalidInput):
+        return None
+
+    def unmap(p: Point) -> Point:
+        return Point(ivals[p.i - 1], jvals[p.j - 1], kvals[p.k - 1])
+
+    if start is None:
+        state = _first_state(red, flavor)
+    elif start is PAST_LAYER_1:
+        state = SuffixState(red, PAST_LAYER_1, flavor)
+    else:
+        fwd = Point(ivals.index(start.i) + 1, jvals.index(start.j) + 1, kvals.index(start.k) + 1)
+        state = SuffixState(red, fwd, flavor)
+    return state, unmap
+
+
+def _literal_link(s: SuffixState) -> tuple[list[Point], set[frozenset[Point]]]:
+    """The non-neighbors of the start vertex in the state's leading-pair
+    graph, in ascending order, and the edges among them."""
+    S = sorted(realized_set(s))
+    edges = minors.leading_edges(S)
+    closed = {s.start}.union(*(e for e in edges if s.start in e))
+    rest = [p for p in S if p not in closed]
+    kept = set(rest)
+    return rest, {e for e in edges if e <= kept}
+
+
+def _facet_count(points, edges) -> int:
+    return len(kernels.maximal_independent_sets(kernels.adjacency(points, edges)))
 
 
 #: Shared default engine; sweeps benefit from its cross-diagram memo.

@@ -58,6 +58,18 @@ def _oriented(u: Point, v: Point, p: Point, q: Point) -> tuple[frozenset[Point],
     return frozenset((p, q)), frozenset((u, v))
 
 
+def _swap_minors(u: Point, v: Point, member: AbstractSet[Point]):
+    """Yield ``(axis, lead, trail)`` for each nonzero 2-minor obtained by
+    swapping one coordinate of u and v inside the collection.
+
+    A swap returns the pair itself exactly when its first partner is u or v.
+    """
+    for axis in AXES:
+        p, q = swap_partners(u, v, axis)
+        if p in member and q in member and p != u and p != v:
+            yield (axis, *_oriented(u, v, p, q))
+
+
 def two_minors(points: Iterable[Point]) -> tuple[Binomial2Minor, ...]:
     """All distinct nonzero 2-minors of the collection.
 
@@ -67,18 +79,10 @@ def two_minors(points: Iterable[Point]) -> tuple[Binomial2Minor, ...]:
     pts = sorted({Point(*p) for p in points})
     member = set(pts)
     found: dict[tuple[frozenset[Point], frozenset[Point]], set[str]] = {}
-    for a in range(len(pts)):
-        u = pts[a]
-        for b in range(a + 1, len(pts)):
-            v = pts[b]
-            for axis in AXES:
-                p, q = swap_partners(u, v, axis)
-                if p not in member or q not in member:
-                    continue
-                if {p, q} == {u, v}:
-                    continue
-                key = _oriented(u, v, p, q)
-                found.setdefault(key, set()).add(axis)
+    for a, u in enumerate(pts):
+        for v in pts[a + 1:]:
+            for axis, lead, trail in _swap_minors(u, v, member):
+                found.setdefault((lead, trail), set()).add(axis)
     return tuple(
         Binomial2Minor(lead, trail, frozenset(dirs))
         for (lead, trail), dirs in sorted(found.items(), key=lambda kv: (sorted(kv[0][0]), sorted(kv[0][1])))
@@ -89,17 +93,10 @@ def leading_edges(points: Iterable[Point]) -> frozenset[frozenset[Point]]:
     """The lex leading pairs of all nonzero 2-minors, as an edge set."""
     pts = sorted({Point(*p) for p in points})
     member = set(pts)
-    edges = set()
-    for a in range(len(pts)):
-        u = pts[a]
-        for b in range(a + 1, len(pts)):
-            v = pts[b]
-            for axis in AXES:
-                p, q = swap_partners(u, v, axis)
-                if p not in member or q not in member or {p, q} == {u, v}:
-                    continue
-                edges.add(_oriented(u, v, p, q)[0])
-    return frozenset(edges)
+    return frozenset(
+        lead for a, u in enumerate(pts) for v in pts[a + 1:]
+        for _, lead, _ in _swap_minors(u, v, member)
+    )
 
 
 def leading_pair_graph(points: Iterable[Point]) -> PairGraph:
@@ -113,20 +110,12 @@ def monomial_generators(diagram: Diagram) -> frozenset[Point]:
 
 
 def _lead_survives_without(edge: frozenset[Point], member: AbstractSet[Point], u: Point) -> bool:
-    """True if some minor of the collection avoids u entirely and still has
-    this edge as its leading pair."""
-    p, q = tuple(edge)
-    if u == p or u == q:
+    """True if swapping the edge's own two points yields a minor with this
+    edge as its leading pair and a trail that avoids u."""
+    if u in edge:
         return False
-    for axis in AXES:
-        r, s = swap_partners(p, q, axis)
-        if r == u or s == u:
-            continue
-        if r not in member or s not in member or {r, s} == {p, q}:
-            continue
-        if min(p, q, r, s) in (p, q):
-            return True
-    return False
+    p, q = edge
+    return any(lead == edge and u not in trail for _, lead, trail in _swap_minors(p, q, member))
 
 
 def is_normal_in(collection: AbstractSet[Point], u: Point) -> bool:
@@ -136,15 +125,7 @@ def is_normal_in(collection: AbstractSet[Point], u: Point) -> bool:
     Only edges leading some minor that involves u can disappear, so the scan
     is linear in the collection for each candidate edge.
     """
-    candidates = set()
-    for v in collection:
-        if v == u:
-            continue
-        for axis in AXES:
-            p, q = swap_partners(u, v, axis)
-            if p not in collection or q not in collection or {p, q} == {u, v}:
-                continue
-            candidates.add(_oriented(u, v, p, q)[0])
+    candidates = {lead for v in collection for _, lead, _ in _swap_minors(u, v, collection)}
     return any(not _lead_survives_without(e, collection, u) for e in candidates)
 
 

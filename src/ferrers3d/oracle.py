@@ -70,14 +70,7 @@ def complex_summary(
     verts = sorted({Point(*p) for p in points})
     if len(verts) > limit:
         raise TooLarge(f"{len(verts)} vertices exceed the facet limit {limit}")
-    edge_set = leading_edges(verts) if edges is None else set(edges)
-    index = {p: t for t, p in enumerate(verts)}
-    adj = [0] * len(verts)
-    for e in edge_set:
-        p, q = tuple(e)
-        adj[index[p]] |= 1 << index[q]
-        adj[index[q]] |= 1 << index[p]
-
+    adj = kernels.adjacency(verts, leading_edges(verts) if edges is None else edges)
     masks = kernels.maximal_independent_sets(adj)
     facets = tuple(
         frozenset(verts[t] for t in range(len(verts)) if mask >> t & 1) for mask in masks

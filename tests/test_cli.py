@@ -46,6 +46,14 @@ class TestCheck:
         code, _, err = run(capsys, "check", '{"layers": [[1, 2]]}')
         assert code == 2 and err
 
+    def test_bool_heights_rejected(self, capsys):
+        code, out, err = run(capsys, "check", '{"layers": [[true, true]]}')
+        assert code == 2 and err and not out
+
+    def test_bool_generators_rejected(self, capsys):
+        code, out, err = run(capsys, "check", '{"generators": [[true, 1, 1]]}')
+        assert code == 2 and err and not out
+
 
 class TestInvariants:
     def test_box(self, capsys):

@@ -8,7 +8,6 @@ from ferrers3d import (
     box,
     diagram_from_json,
     diagram_to_json,
-    essential_dims,
     essential_reduce,
     from_generators,
     from_points,
@@ -20,12 +19,7 @@ from ferrers3d import (
     validate,
     zones,
 )
-from ferrers3d.diagram import (
-    projection_property_by_pairs,
-    reduce_points,
-    strong_projection_by_bounds,
-    strong_projection_by_zones,
-)
+from ferrers3d.diagram import reduce_points
 from ferrers3d.errors import InvalidInput, NotFerrers, NotInDiagram
 from ferrers3d.families import count_diagrams, enumerate_diagrams
 
@@ -34,6 +28,47 @@ CLOSURE = from_generators([(1, 3, 2), (2, 2, 3)])
 
 def all_diagrams_3():
     return list(enumerate_diagrams(3, 3, 3))
+
+
+# Reference forms of the projection properties, checked against the
+# library's layer-form tests.
+
+
+def projection_property_by_pairs(diagram):
+    """Pairwise form of the projection property: any mixed pair (j1, k2)
+    taken from two points of layer i+1 appears in layer i."""
+    for i in range(1, diagram.a):
+        nxt = diagram.layer_points(i + 1)
+        for p in nxt:
+            for q in nxt:
+                if (i, p.j, q.k) not in diagram:
+                    return False
+    return True
+
+
+def strong_projection_by_zones(diagram):
+    """Zone form of the strong projection property: no point of a deeper
+    layer lies in zone 1 or zone 6 of any point."""
+    for i in range(1, diagram.a):
+        for u in diagram.layer_points(i):
+            zm = zones(diagram, u)
+            if any(p.i > i for p in zm.z1) or any(p.i > i for p in zm.z6):
+                return False
+    return True
+
+
+def strong_projection_by_bounds(diagram):
+    """Bound form of the strong projection property: the next layer's width
+    and height never exceed beta and gamma of any point of the current
+    layer."""
+    for i in range(1, diagram.a):
+        b_next = diagram.layer_width(i + 1)
+        c_next = diagram.layer_height(i + 1)
+        for u in diagram.layer_points(i):
+            _, beta, gamma = alpha_beta_gamma(diagram, u)
+            if b_next > beta or c_next > gamma:
+                return False
+    return True
 
 
 class TestConstruction:
@@ -115,9 +150,8 @@ class TestReduction:
 
 class TestDimsAndFlip:
     def test_dims(self):
-        assert essential_dims(box(2, 2, 2)) == (2, 2, 2)
-        assert essential_dims(CLOSURE) == (2, 3, 3)
-        assert essential_dims(validate([[1]])) == (1, 1, 1)
+        for d, dims in ((box(2, 2, 2), (2, 2, 2)), (CLOSURE, (2, 3, 3)), (validate([[1]]), (1, 1, 1))):
+            assert (d.a, d.b, d.c) == dims
 
     def test_flip_box(self):
         assert box(2, 2, 2).flip() == box(2, 2, 2)
@@ -131,8 +165,8 @@ class TestDimsAndFlip:
     def test_flip_involution_and_dims(self):
         for d in all_diagrams_3():
             assert d.flip().flip() == d
-            a, b, c = essential_dims(d)
-            assert essential_dims(d.flip()) == (a, c, b)
+            f = d.flip()
+            assert (f.a, f.b, f.c) == (d.a, d.c, d.b)
             assert set(d.flip().points()) == {p.flip() for p in d.points()}
 
 

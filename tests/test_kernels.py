@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ferrers3d import _purecomplex, kernels
+from ferrers3d import kernels
 
 
 def random_graph(n, density, seed):
@@ -20,7 +20,7 @@ def random_graph(n, density, seed):
                                             (10, 0.5, 3), (14, 0.2, 4), (14, 0.8, 5)])
 def test_pure_kernel_basics(n, density, seed):
     adj = random_graph(n, density, seed)
-    mis = _purecomplex.maximal_independent_sets(adj)
+    mis = kernels.maximal_independent_sets(adj)
     assert mis == sorted(mis)
     for mask in mis:
         members = [v for v in range(n) if mask >> v & 1]
@@ -29,7 +29,7 @@ def test_pure_kernel_basics(n, density, seed):
         for v in range(n):
             if not mask >> v & 1:
                 assert any(adj[v] >> b & 1 for b in members) or n == 0
-    counts = _purecomplex.count_independent_sets_by_size(adj)
+    counts = kernels.count_independent_sets_by_size(adj)
     assert counts[0] == 1
     assert sum(counts) == _count_brute(adj, n)
 
@@ -44,16 +44,3 @@ def _count_brute(adj, n):
                 break
         total += ok
     return total
-
-
-@pytest.mark.skipif(kernels.IMPLEMENTATION != "cython", reason="compiled kernel not built")
-@pytest.mark.parametrize("n,density,seed", [(0, 0.0, 0), (1, 0.0, 1), (8, 0.4, 2),
-                                            (16, 0.3, 3), (20, 0.6, 4), (24, 0.15, 5)])
-def test_compiled_matches_pure(n, density, seed):
-    from ferrers3d import _fastcomplex
-
-    adj = random_graph(n, density, seed)
-    assert _fastcomplex.maximal_independent_sets(adj) == \
-        _purecomplex.maximal_independent_sets(adj)
-    assert _fastcomplex.count_independent_sets_by_size(adj) == \
-        _purecomplex.count_independent_sets_by_size(adj)

@@ -121,7 +121,7 @@ class TestClassification:
             classify_point(d, lex_order(d), Point(2, 1, 1))
 
     def test_fast_path_agrees_with_definition(self):
-        for d in enumerate_diagrams(2, 2, 3):
+        for d in [*enumerate_diagrams(2, 2, 3), *enumerate_diagrams(3, 3, 2)]:
             for order in (induction_order(d), lex_order(d)):
                 for u in order.points:
                     fast = "normal" if is_normal_in(_suffix(d, order, u), u) else "phantom"
@@ -136,6 +136,7 @@ class TestRestriction:
             if not has_projection_property(d):
                 continue
             host_edges = leading_edges(d.points())
+            assert host_edges == {m.lead for m in two_minors(d.points())}
             for order in (induction_order(d), lex_order(d)):
                 for u in order.points:
                     suffix = _suffix(d, order, u)
