@@ -2,8 +2,10 @@
 
 Every subcommand reads diagrams as JSON (inline or @file), writes one JSON
 document to stdout (CSV in sweep mode on request) and signals through the
-exit code: 0 ok, 2 input error, 3 cross-check disagreement, 4 unsupported
-input or size limit.
+exit code: 0 ok, 2 input error, 3 cross-check disagreement or internal
+engine error (the message carries the diagram as a reproduction), 4
+unsupported input, size limit, or a diagram too deep for the engine's
+recursion.
 """
 
 from __future__ import annotations
@@ -66,6 +68,20 @@ def _report_json(report: oracle.InvariantsReport) -> dict:
         "source": report.source,
         "grobner_guarantee": report.grobner_guarantee,
     }
+
+
+def _engine_invariants(engine: Engine, diagram: Diagram, order: str = "induction"):
+    """The engine's report; an internal engine error exits 3 and names the
+    diagram as its reproduction."""
+    try:
+        return engine.invariants(diagram, order=order)
+    except RecursionError:  # a RuntimeError too, but it exits 4 in main()
+        raise
+    except RuntimeError as exc:
+        raise _CliFailure(
+            EXIT_DISAGREE,
+            f"internal engine error: {exc}; reproduction: {json.dumps(diagram_to_json(diagram))}",
+        ) from exc
 
 
 def _emit(obj: object) -> None:
@@ -133,7 +149,7 @@ def _cmd_invariants(args) -> int:
     engine_report = None
     if pp:
         try:
-            engine_report = engine.invariants(diagram, order=args.order)
+            engine_report = _engine_invariants(engine, diagram, args.order)
         except UnsupportedDiagram as exc:
             raise _CliFailure(EXIT_UNSUPPORTED, str(exc)) from exc
         report["engine"] = _report_json(engine_report)
@@ -270,7 +286,7 @@ def _cmd_compare(args) -> int:
     reports = []
     for diagram in (d1, d2):
         if has_projection_property(diagram):
-            reports.append(engine.invariants(diagram))
+            reports.append(_engine_invariants(engine, diagram))
         else:
             reports.append(oracle.oracle_invariants(diagram))
     spp = has_strong_projection_property(d1) and has_strong_projection_property(d2)
@@ -305,7 +321,7 @@ def _sweep_row(diagram: Diagram, engine: Engine, use_oracle: bool, facet_limit: 
     }
     report = None
     if pp:
-        report = engine.invariants(diagram)
+        report = _engine_invariants(engine, diagram)
     elif use_oracle:
         try:
             report = oracle.oracle_invariants(diagram, limit=facet_limit)
@@ -407,7 +423,7 @@ def _cmd_search(args) -> int:
         if not has_projection_property(diagram):
             continue
         checked += 1
-        report = engine.invariants(diagram)
+        report = _engine_invariants(engine, diagram)
         bound = closed_forms.rect_multiplicity(diagram.a, diagram.b, diagram.c)
         if report.mult > bound:
             entry = {
@@ -464,6 +480,17 @@ def _cmd_gb_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive(text: str) -> int:
+    """argparse type for counts, sizes and limits: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is below 1")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ferrers3d",
@@ -486,9 +513,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hilbert", action="store_true", help="cross-check with Hilbert counting")
     p.add_argument("--bounds", action="store_true", help="report closed-form bounds")
     p.add_argument("--order", choices=["induction", "lex"], default="induction")
-    p.add_argument("--limit", type=int, default=oracle.DEFAULT_FACET_LIMIT,
+    p.add_argument("--limit", type=_positive, default=oracle.DEFAULT_FACET_LIMIT,
                    help="facet oracle vertex limit")
-    p.add_argument("--cache-cap", type=int, default=None, help="memo cache size cap")
+    p.add_argument("--cache-cap", type=_positive, default=None, help="memo cache size cap")
     p.set_defaults(func=_cmd_invariants)
 
     p = sub.add_parser("gens", help="monomial generators and 2-minors as JSON")
@@ -497,7 +524,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="facet summary and Hilbert table")
     diagram_arg(p)
-    p.add_argument("--limit", type=int, default=oracle.DEFAULT_FACET_LIMIT)
+    p.add_argument("--limit", type=_positive, default=oracle.DEFAULT_FACET_LIMIT)
     p.add_argument("--hilbert-degree", type=int, default=None)
     p.add_argument("--facet-threshold", type=int, default=200,
                    help="suppress the facet list above this count")
@@ -509,30 +536,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("sweep", help="enumerate diagrams in a box and report each")
-    p.add_argument("--box", type=int, nargs=3, required=True, metavar=("A", "B", "C"))
+    p.add_argument("--box", type=_positive, nargs=3, required=True, metavar=("A", "B", "C"))
     p.add_argument("--filter", choices=["all", "pp", "spp"], default="all")
     p.add_argument("--pairs", action="store_true",
                    help="check monotonicity over nested strong-projection pairs")
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--limit", type=int, default=20000, help="maximum diagrams to enumerate")
+    p.add_argument("--limit", type=_positive, default=20000, help="maximum diagrams to enumerate")
     p.add_argument("--facet-limit", type=int, default=oracle.DEFAULT_FACET_LIMIT)
-    p.add_argument("--sample", type=int, default=None, help="random sample instead of enumeration")
+    p.add_argument("--sample", type=_positive, default=None, help="random sample instead of enumeration")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cache-cap", type=int, default=None)
+    p.add_argument("--cache-cap", type=_positive, default=None)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("search", help="hunt for multiplicity-above-box counterexamples")
-    p.add_argument("--box", type=int, nargs=3, required=True, metavar=("A", "B", "C"))
-    p.add_argument("--limit", type=int, default=20000)
+    p.add_argument("--box", type=_positive, nargs=3, required=True, metavar=("A", "B", "C"))
+    p.add_argument("--limit", type=_positive, default=20000)
     p.add_argument("--facet-limit", type=int, default=oracle.DEFAULT_FACET_LIMIT)
-    p.add_argument("--cache-cap", type=int, default=None)
+    p.add_argument("--cache-cap", type=_positive, default=None)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("gb-check", help="bounded-degree binomial reduction check")
     diagram_arg(p)
     p.add_argument("--max-degree", type=int, default=4)
-    p.add_argument("--limit", type=int, default=oracle.DEFAULT_MONOMIAL_LIMIT)
+    p.add_argument("--limit", type=_positive, default=oracle.DEFAULT_MONOMIAL_LIMIT)
     p.set_defaults(func=_cmd_gb_check)
 
     return parser
@@ -549,6 +576,9 @@ def main(argv=None) -> int:
     except Ferrers3DError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
+    except RecursionError as exc:
+        print(f"the input is too deep for the engine: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
 
 
 if __name__ == "__main__":

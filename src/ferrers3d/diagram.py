@@ -15,7 +15,8 @@ first layer, flips, reductions and plane profiles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidInput, NotFerrers, NotInDiagram
 
@@ -46,6 +47,10 @@ class Diagram:
 
     Use :func:`validate`, :func:`from_generators` or :func:`from_points` to
     construct one; the raw constructor performs no checking.
+
+    The point tuple and the first-layer orders are built lazily, at most
+    once per diagram, and derived from ``layers`` alone: equality, hashing,
+    ``repr`` and pickling see only ``layers``.
     """
 
     layers: tuple[tuple[int, ...], ...]
@@ -84,21 +89,53 @@ class Diagram:
         layer = self.layers[i - 1]
         return layer[j - 1] if 1 <= j <= len(layer) else 0
 
-    def points(self) -> Iterator[Point]:
+    def points(self) -> tuple[Point, ...]:
         """All points in lexicographic order."""
-        for i, layer in enumerate(self.layers, start=1):
-            for j, h in enumerate(layer, start=1):
-                for k in range(1, h + 1):
-                    yield Point(i, j, k)
+        return self._points
 
     def layer_points(self, i: int) -> tuple[Point, ...]:
         if not 1 <= i <= len(self.layers):
             return ()
+        return self._points[self._layer_starts[i - 1]:self._layer_starts[i]]
+
+    @cached_property
+    def deep_points(self) -> frozenset[Point]:
+        """The points above the first layer (x-coordinate at least 2)."""
+        return frozenset(self._points[self._layer_starts[1]:])
+
+    def first_layer_order(self, flavor: str) -> tuple[tuple[Point, ...], dict[Point, int]]:
+        """The first layer sorted by the flavor's :func:`order_key`, and the
+        position of each point in that order."""
+        order = self._orders.get(flavor)
+        if order is None:
+            ranked = tuple(sorted(self.layer_points(1), key=order_key(self, flavor)))
+            order = self._orders[flavor] = (ranked, {p: t for t, p in enumerate(ranked)})
+        return order
+
+    # -- lazy caches, never pickled -------------------------------------------
+
+    @cached_property
+    def _points(self) -> tuple[Point, ...]:
         return tuple(
             Point(i, j, k)
-            for j, h in enumerate(self.layers[i - 1], start=1)
+            for i, layer in enumerate(self.layers, start=1)
+            for j, h in enumerate(layer, start=1)
             for k in range(1, h + 1)
         )
+
+    @cached_property
+    def _layer_starts(self) -> tuple[int, ...]:
+        starts = [0]
+        for layer in self.layers:
+            starts.append(starts[-1] + sum(layer))
+        return tuple(starts)
+
+    @cached_property
+    def _orders(self) -> dict[str, tuple[tuple[Point, ...], dict[Point, int]]]:
+        return {}
+
+    def __getstate__(self) -> dict:
+        return {"layers": self.layers}
 
     # -- per-layer statistics -------------------------------------------------
 
@@ -372,14 +409,12 @@ def order_key(diagram: Diagram, flavor: str) -> Callable[[Point], tuple[int, ...
 
 def induction_order(diagram: Diagram) -> OrderedPointList:
     """First-layer order used by the shedding recursion."""
-    key = order_key(diagram, INDUCTION)
-    return OrderedPointList(tuple(sorted(diagram.layer_points(1), key=key)), INDUCTION)
+    return OrderedPointList(diagram.first_layer_order(INDUCTION)[0], INDUCTION)
 
 
 def lex_order(diagram: Diagram) -> OrderedPointList:
     """First-layer points in plain lexicographic order on (j, k)."""
-    key = order_key(diagram, LEX)
-    return OrderedPointList(tuple(sorted(diagram.layer_points(1), key=key)), LEX)
+    return OrderedPointList(diagram.first_layer_order(LEX)[0], LEX)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,15 @@ Because the link re-expression is intricate, every constructed link state
 is validated against the zone formula, and (on small hosts) against the
 graph-level link itself; a failed validation falls back to direct facet
 enumeration for that subtree instead of returning a silently wrong value.
+
+Work is shared rather than repeated.  Once per host diagram: its point
+tuple, its set of deep (x >= 2) points and, per order flavor, its sorted
+first layer (cached on the ``Diagram``), so stepping to the next state is an
+index step.  Once per state: its realized set (the host's deep points plus
+the start's suffix of the first-layer order) and its normality verdict
+(cached on the ``SuffixState``).  The canonical key, the normality test,
+link construction, link validation and the literal graph link all read
+that one set.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from __future__ import annotations
 import logging
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import kernels, minors
 from .diagram import (
@@ -29,7 +39,6 @@ from .diagram import (
     Point,
     has_projection_property,
     has_strong_projection_property,
-    order_key,
     reduce_points,
     validate,
     zones,
@@ -64,26 +73,43 @@ class SuffixState:
     start: "Point | _Sentinel"
     flavor: str
 
+    @cached_property
+    def realized(self) -> frozenset[Point]:
+        """The realized set, built once per state by :func:`realized_set`."""
+        return realized_set(self)
+
+    @cached_property
+    def is_normal(self) -> bool:
+        """Whether the start is a normal point of the realized set; decided
+        once per state."""
+        return minors.is_normal_in(self.realized, self.start)
+
 
 def _stage_two(host: Diagram, p: Point) -> bool:
     return p.k > host.layer_height(2)
 
 
+def _position(s: SuffixState) -> tuple[tuple[Point, ...], int]:
+    """The host's first-layer order and the start's position in it."""
+    order, rank = s.host.first_layer_order(s.flavor)
+    pos = rank.get(s.start)
+    if pos is None:
+        raise InvalidInput(f"{tuple(s.start)} is not a first-layer point of the host")
+    return order, pos
+
+
 def realized_set(s: SuffixState) -> frozenset[Point]:
-    """The point set the state denotes."""
-    deep = (p for p in s.host.points() if p.i >= 2)
+    """The point set the state denotes: the host's deep points plus the
+    start's suffix of the first-layer order."""
     if isinstance(s.start, _Sentinel):
-        return frozenset(deep)
-    key = order_key(s.host, s.flavor)
-    cutoff = key(s.start)
-    return frozenset(deep) | frozenset(p for p in s.host.layer_points(1) if key(p) >= cutoff)
+        return s.host.deep_points
+    order, pos = _position(s)
+    return s.host.deep_points.union(order[pos:])
 
 
 def _successor(s: SuffixState) -> SuffixState:
-    key = order_key(s.host, s.flavor)
-    cutoff = key(s.start)
-    later = [p for p in s.host.layer_points(1) if key(p) > cutoff]
-    nxt = min(later, key=key) if later else PAST_LAYER_1
+    order, pos = _position(s)
+    nxt = order[pos + 1] if pos + 1 < len(order) else PAST_LAYER_1
     return SuffixState(s.host, nxt, s.flavor)
 
 
@@ -99,7 +125,7 @@ def canonical_key(s: SuffixState):
     beta/gamma of the current start and all zone memberships are functions
     of it), so states sharing this key share their value.
     """
-    pts = realized_set(s)
+    pts = s.realized
     if not pts:
         return ((), "empty", s.flavor)
     imap = {v: t for t, v in enumerate(sorted({p.i for p in pts}), start=1)}
@@ -184,11 +210,6 @@ class Engine:
         backwards from its base case; recursion only happens through links,
         whose realized sets shrink strictly.
         """
-        first_key = canonical_key(s)
-        hit = self._get(first_key)
-        if hit is not None:
-            return hit
-
         chain: list[tuple[object, SuffixState]] = []
         cur = s
         while True:
@@ -210,7 +231,7 @@ class Engine:
 
         for key, st in reversed(chain):
             self.stats["states"] += 1
-            if minors.is_normal_in(realized_set(st), st.start):
+            if st.is_normal:
                 link, ok = self.link_state(st)
                 if ok:
                     lreg, lmult = self.suffix_invariants(link)
@@ -230,10 +251,9 @@ class Engine:
         return self.suffix_invariants(_first_state(diagram, flavor))
 
     def _tail_value(self, host: Diagram, flavor: str) -> tuple[int, int]:
-        deep = [p for p in host.points() if p.i >= 2]
-        if not deep:
+        if not host.deep_points:
             return (0, 1)
-        red, _ = reduce_points(deep)
+        red, _ = reduce_points(host.deep_points)
         return self._full_value(red, flavor)
 
     def link_state(self, s: SuffixState) -> tuple[SuffixState, bool]:
@@ -248,8 +268,7 @@ class Engine:
         """
         if isinstance(s.start, _Sentinel):
             raise NotNormal("the sentinel state has no link")
-        S = realized_set(s)
-        if not minors.is_normal_in(S, s.start):
+        if not s.is_normal:
             raise NotNormal(f"{tuple(s.start)} is a phantom point of its suffix")
         if s.flavor == INDUCTION and _stage_two(s.host, s.start):
             return self.link_state(_flip_state(s))
@@ -301,7 +320,7 @@ class Engine:
     def _validate_link(self, s, link, unmap, target) -> bool:
         if not has_projection_property(link.host):
             return False
-        back = {unmap(p) for p in realized_set(link)}
+        back = {unmap(p) for p in link.realized}
         if back != target:
             return False
         if s.host.size <= VALIDATE_LIMIT:
@@ -314,7 +333,7 @@ class Engine:
         """Compare facet counts of the literal graph link (cone vertices do
         not change the count) and of the returned state's complex."""
         direct = _facet_count(*_literal_link(s))
-        stated = sorted(realized_set(link))
+        stated = sorted(link.realized)
         return direct == _facet_count(stated, minors.leading_edges(stated))
 
     def _link_by_facets(self, s) -> tuple[int, int]:
@@ -335,8 +354,7 @@ def _first_state(diagram: Diagram, flavor: str) -> SuffixState:
     order when the diagram lacks the strong projection property."""
     if flavor == LEX and not has_strong_projection_property(diagram):
         flavor = INDUCTION
-    first = min(diagram.layer_points(1), key=order_key(diagram, flavor))
-    return SuffixState(diagram, first, flavor)
+    return SuffixState(diagram, diagram.first_layer_order(flavor)[0][0], flavor)
 
 
 def _reduced_state(ambient, start, flavor):
@@ -368,7 +386,7 @@ def _reduced_state(ambient, start, flavor):
 def _literal_link(s: SuffixState) -> tuple[list[Point], set[frozenset[Point]]]:
     """The non-neighbors of the start vertex in the state's leading-pair
     graph, in ascending order, and the edges among them."""
-    S = sorted(realized_set(s))
+    S = sorted(s.realized)
     edges = minors.leading_edges(S)
     closed = {s.start}.union(*(e for e in edges if s.start in e))
     rest = [p for p in S if p not in closed]

@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .diagram import Diagram
+from .errors import InvalidInput
 
 
 def subpartitions(bound: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -33,9 +34,15 @@ def subpartitions(bound: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
+def _check_box(a: int, b: int, c: int) -> None:
+    if a < 1 or b < 1 or c < 1:
+        raise InvalidInput(f"box dimensions must be positive, got {a} x {b} x {c}")
+
+
 def count_diagrams(a: int, b: int, c: int) -> int:
     """Number of nonempty diagrams inside [a] x [b] x [c] (box product
     formula minus the empty one)."""
+    _check_box(a, b, c)
     total = Fraction(1)
     for i in range(1, a + 1):
         for j in range(1, b + 1):
@@ -45,7 +52,15 @@ def count_diagrams(a: int, b: int, c: int) -> int:
 
 
 def enumerate_diagrams(a: int, b: int, c: int) -> Iterator[Diagram]:
-    """All nonempty diagrams inside the box, in a deterministic order."""
+    """All nonempty diagrams inside the box, in a deterministic order.
+
+    The box is checked when this is called, not when iteration starts.
+    """
+    _check_box(a, b, c)
+    return _enumerate(a, b, c)
+
+
+def _enumerate(a: int, b: int, c: int) -> Iterator[Diagram]:
     tops = [p for p in subpartitions((c,) * b) if p]
 
     def rec(layers: list[tuple[int, ...]]) -> Iterator[Diagram]:
@@ -64,6 +79,7 @@ def enumerate_diagrams(a: int, b: int, c: int) -> Iterator[Diagram]:
 
 def sample_diagrams(a: int, b: int, c: int, count: int, seed: int = 0) -> list[Diagram]:
     """Random diagrams inside the box (seeded, not uniform)."""
+    _check_box(a, b, c)
     rng = random.Random(seed)
     out = []
     for _ in range(count):

@@ -122,10 +122,16 @@ def is_normal_in(collection: AbstractSet[Point], u: Point) -> bool:
     """Definitional normality test on an arbitrary collection containing u:
     does deleting u shrink the leading-pair edge set?
 
-    Only edges leading some minor that involves u can disappear, so the scan
-    is linear in the collection for each candidate edge.
+    Only edges leading some minor that involves u can disappear.  An edge
+    through u always disappears, so the scan stops at the first such lead;
+    the other candidate leads are tested afterwards, each in constant time.
     """
-    candidates = {lead for v in collection for _, lead, _ in _swap_minors(u, v, collection)}
+    candidates = set()
+    for v in collection:
+        for _, lead, _ in _swap_minors(u, v, collection):
+            if u in lead:
+                return True
+            candidates.add(lead)
     return any(not _lead_survives_without(e, collection, u) for e in candidates)
 
 
@@ -136,8 +142,7 @@ def _suffix_sets(
         pos = order.points.index(u)
     except ValueError:
         raise NotInLayer(f"{tuple(u)} is not in the ordered first layer") from None
-    deeper = [p for p in diagram.points() if p.i >= 2]
-    suffix = frozenset(order.points[pos:]) | frozenset(deeper)
+    suffix = diagram.deep_points.union(order.points[pos:])
     return suffix, suffix - {u}
 
 

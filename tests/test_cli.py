@@ -1,4 +1,7 @@
 import json
+import sys
+
+import pytest
 
 from ferrers3d import box, diagram_from_json
 from ferrers3d.cli import main
@@ -245,3 +248,54 @@ def test_file_input(tmp_path, capsys):
     path.write_text(BOX222)
     code, out, _ = run(capsys, "check", f"@{path}")
     assert code == 0 and json.loads(out)["size"] == 8
+
+
+class TestNumberGuards:
+    """Counts, sizes and limits below 1 are input errors (exit 2)."""
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--box", "0", "2", "2"),
+        ("search", "--box", "2", "2", "-1"),
+        ("sweep", "--box", "2", "2", "2", "--sample", "-4"),
+        ("sweep", "--box", "2", "2", "2", "--sample", "0"),
+        ("invariants", BOX222, "--cache-cap", "-3"),
+        ("invariants", BOX222, "--cache-cap", "0"),
+        ("sweep", "--box", "2", "2", "2", "--cache-cap", "0"),
+        ("sweep", "--box", "2", "2", "2", "--limit", "0"),
+        ("invariants", BOX222, "--oracle", "--limit", "0"),
+    ], ids=lambda argv: " ".join(argv).replace(BOX222, "BOX222"))
+    def test_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out = capsys.readouterr()
+        assert exc.value.code == 2
+        assert "below 1" in out.err and not out.out
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+class TestInternalErrors:
+    def test_recursion_too_deep_exits_four(self, capsys):
+        tall = json.dumps({"layers": [[1]] * 60})
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 100)
+        try:
+            code = main(["invariants", tall])
+        finally:
+            sys.setrecursionlimit(limit)
+        out = capsys.readouterr()
+        assert code == 4
+        assert "too deep" in out.err and not out.out
+        assert run(capsys, "invariants", tall)[0] == 0  # the same box at the normal limit
+
+    def test_engine_range_error_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(Engine, "_full_value", lambda self, d, flavor: (0, 0))
+        code, out, err = run(capsys, "invariants", BOX222)
+        assert code == 3 and not out
+        assert "engine bug" in err
+        assert json.dumps({"layers": [[2, 2], [2, 2]]}) in err

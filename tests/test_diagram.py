@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,9 +21,9 @@ from ferrers3d import (
     validate,
     zones,
 )
-from ferrers3d.diagram import reduce_points
+from ferrers3d.diagram import INDUCTION, LEX, reduce_points
 from ferrers3d.errors import InvalidInput, NotFerrers, NotInDiagram
-from ferrers3d.families import count_diagrams, enumerate_diagrams
+from ferrers3d.families import count_diagrams, enumerate_diagrams, sample_diagrams
 
 CLOSURE = from_generators([(1, 3, 2), (2, 2, 3)])
 
@@ -350,3 +352,50 @@ def test_enumeration_matches_box_product_formula():
     assert count_diagrams(3, 3, 3) == len(all_diagrams_3())
     seen = set(enumerate_diagrams(2, 3, 2))
     assert len(seen) == count_diagrams(2, 3, 2)
+
+
+@pytest.mark.parametrize("dims", [(0, 2, 2), (2, 0, 2), (2, 2, -1)])
+def test_nonpositive_box_rejected(dims):
+    # enumeration checks the box when called, before any iteration
+    for family in (count_diagrams, enumerate_diagrams):
+        with pytest.raises(InvalidInput):
+            family(*dims)
+    with pytest.raises(InvalidInput):
+        sample_diagrams(*dims, 3)
+
+
+class TestPointCache:
+    LAYERS = [[4, 3, 3, 1], [3, 2], [1]]
+
+    def test_nothing_is_built_at_construction(self):
+        d = validate(self.LAYERS)
+        assert vars(d) == {"layers": d.layers}
+
+    def test_filled_cache_keeps_value_semantics(self):
+        used, fresh = validate(self.LAYERS), validate(self.LAYERS)
+        first, second = list(used.points()), list(used.points())
+        assert first == second == sorted(first)
+        assert len(first) == used.size
+        assert used.layer_points(1) + tuple(sorted(used.deep_points)) == used.points()
+        used.first_layer_order(INDUCTION)
+        used.first_layer_order(LEX)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        again = pickle.loads(pickle.dumps(used))
+        assert again == fresh and hash(again) == hash(fresh) and repr(again) == repr(fresh)
+        assert list(again.points()) == first
+
+    def test_layer_points_slices(self):
+        d = validate(self.LAYERS)
+        for i in range(0, d.a + 2):
+            expected = tuple(p for p in d.points() if p.i == i)
+            assert d.layer_points(i) == expected
+
+    def test_first_layer_orders(self):
+        d = validate(self.LAYERS)
+        for flavor, listed in ((INDUCTION, induction_order(d)), (LEX, lex_order(d))):
+            order, rank = d.first_layer_order(flavor)
+            assert order == listed.points
+            assert sorted(order) == list(d.layer_points(1))
+            assert all(order[t] == p for p, t in rank.items())

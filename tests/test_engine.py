@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import permute_axes
 from ferrers3d import (
@@ -11,18 +13,21 @@ from ferrers3d import (
     oracle_invariants,
     validate,
 )
+from ferrers3d import minors
+from ferrers3d.diagram import order_key
 from ferrers3d.engine import (
     INDUCTION,
     LEX,
     PAST_LAYER_1,
     Engine,
     SuffixState,
+    _successor,
     canonical_key,
     realized_set,
     suffix_state_from_json,
     suffix_state_to_json,
 )
-from ferrers3d.errors import NotNormal, UnsupportedDiagram
+from ferrers3d.errors import InvalidInput, NotNormal, UnsupportedDiagram
 from ferrers3d.families import enumerate_diagrams, sample_diagrams
 from ferrers3d.minors import classify_point
 from ferrers3d.oracle import complex_summary
@@ -115,6 +120,11 @@ class TestLinkState:
         s = SuffixState(box(2, 2, 1), Point(1, 2, 1), INDUCTION)
         with pytest.raises(NotNormal):
             engine.link_state(s)
+
+    def test_start_outside_first_layer_rejected(self, engine):
+        s = SuffixState(box(2, 2, 1), Point(2, 1, 1), INDUCTION)
+        with pytest.raises(InvalidInput):
+            engine.suffix_invariants(s)
 
     def test_links_validate_everywhere(self):
         eng = Engine()
@@ -230,3 +240,83 @@ class TestCache:
                 continue
             a, b = uncapped.invariants(d), capped.invariants(d)
             assert (a.reg, a.mult) == (b.reg, b.mult)
+
+
+class TestTraversal:
+    """The engine's visit counts and memo size, recorded before the point
+    caches and the once-per-state realized sets were introduced: a faster
+    engine must still walk exactly the same states."""
+
+    @pytest.mark.parametrize("layers, order, stats, memo_entries", [
+        ([[4] * 4] * 4, INDUCTION,
+         {"states": 430, "cache_hits": 309, "link_checks": 195, "fallbacks": 0}, 495),
+        ([[4] * 4] * 4, LEX,
+         {"states": 430, "cache_hits": 309, "link_checks": 195, "fallbacks": 0}, 479),
+        ([[2] * 3] * 3, INDUCTION,
+         {"states": 51, "cache_hits": 26, "link_checks": 26, "fallbacks": 0}, 70),
+        ([[2] * 3] * 3, LEX,
+         {"states": 50, "cache_hits": 25, "link_checks": 25, "fallbacks": 0}, 63),
+        ([[5, 5, 5, 4, 1], [4, 4, 2]], INDUCTION,
+         {"states": 135, "cache_hits": 70, "link_checks": 47, "fallbacks": 0}, 160),
+    ])
+    def test_pinned_counts(self, layers, order, stats, memo_entries):
+        eng = Engine()
+        eng.invariants(validate(layers), order)
+        assert eng.stats == stats
+        assert len(eng._memo) == memo_entries
+
+    def test_one_normality_test_per_state(self, monkeypatch):
+        calls = []
+        original = minors.is_normal_in
+        monkeypatch.setattr(minors, "is_normal_in", lambda S, u: calls.append(u) or original(S, u))
+        eng = Engine()
+        eng.invariants(validate([[5, 5, 5, 4, 1], [4, 4, 2]]))
+        assert len(calls) == eng.stats["states"]
+
+    def test_realized_sets_and_successors_follow_the_order_key(self):
+        # reference: the deep points plus the first-layer points whose order
+        # key is at least the start's, and successors in key order
+        for d in enumerate_diagrams(3, 3, 3):
+            deep = {p for p in d.points() if p.i >= 2}
+            first = d.layer_points(1)
+            for flavor in (INDUCTION, LEX):
+                key = order_key(d, flavor)
+                for u in first:
+                    expected = deep | {p for p in first if key(p) >= key(u)}
+                    assert realized_set(SuffixState(d, u, flavor)) == expected
+                assert realized_set(SuffixState(d, PAST_LAYER_1, flavor)) == deep
+                s, walked = SuffixState(d, min(first, key=key), flavor), []
+                while s.start is not PAST_LAYER_1:
+                    walked.append(s.start)
+                    s = _successor(s)
+                assert walked == sorted(first, key=key)
+
+
+@st.composite
+def pp_diagrams(draw, max_points=24):
+    """Projection-property diagrams of at most ``max_points`` points in
+    [4] x [6] x [6]: random layers, trailing layers (then trailing columns)
+    dropped until the size fits."""
+    layers, prev = [], (6,) * 6
+    for _ in range(draw(st.integers(1, 4))):
+        width = draw(st.integers(1, len(prev)))
+        heights = (min(prev[j], draw(st.integers(1, 6))) for j in range(width))
+        layers.append(sorted(heights, reverse=True))
+        prev = layers[-1]
+    while len(layers) > 1 and sum(map(sum, layers)) > max_points:
+        layers.pop()
+    while sum(layers[0]) > max_points:
+        layers[0].pop()
+    d = validate(layers)
+    assume(has_projection_property(d))
+    return d
+
+
+@settings(max_examples=80, deadline=None)
+@given(pp_diagrams())
+def test_engine_equals_facet_oracle_on_random_diagrams(d):
+    ora = oracle_invariants(d)
+    orders = (INDUCTION, LEX) if has_strong_projection_property(d) else (INDUCTION,)
+    for order in orders:
+        rep = Engine().invariants(d, order)
+        assert (rep.ring_dim, rep.reg, rep.mult) == (ora.ring_dim, ora.reg, ora.mult)
