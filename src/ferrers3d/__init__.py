@@ -36,9 +36,6 @@ from .engine import (
     Engine,
     SuffixState,
     canonical_key,
-    invariants,
-    link_state,
-    suffix_invariants,
 )
 from .oracle import (
     ComplexSummary,

@@ -2,10 +2,10 @@
 
 Every subcommand reads diagrams as JSON (inline or @file), writes one JSON
 document to stdout (CSV in sweep mode on request) and signals through the
-exit code: 0 ok, 2 input error, 3 cross-check disagreement or internal
-engine error (the message carries the diagram as a reproduction), 4
-unsupported input, size limit, or a diagram too deep for the engine's
-recursion.
+exit code: 0 ok, 2 input error (including a number out of range), 3
+cross-check disagreement or internal engine error (the message carries the
+diagram as a reproduction), 4 unsupported input, size limit, or links nested
+too deeply for the engine's recursion.
 """
 
 from __future__ import annotations
@@ -17,13 +17,13 @@ import time
 
 from . import closed_forms, families, minors, oracle
 from .diagram import (
+    INDUCTION,
     Diagram,
     Point,
     diagram_from_json,
     diagram_to_json,
     has_projection_property,
     has_strong_projection_property,
-    induction_order,
     profile,
     zones,
 )
@@ -251,17 +251,15 @@ def _link_diagnostic(d1: Diagram, d2: Diagram, engine: Engine) -> list[dict]:
     the smaller diagram to the larger one; explains monotonicity failures
     outside the strong projection regime."""
     out = []
-    order1, order2 = induction_order(d1), induction_order(d2)
-    for u in order1.points:
-        if u not in set(order2.points):
+    for u in d1.first_layer_order(INDUCTION)[0]:
+        if u not in d2:
             continue
-        if minors.classify_point(d1, order1, u) != "normal":
-            continue
-        if minors.classify_point(d2, order2, u) != "normal":
+        states = [SuffixState(d, u, INDUCTION) for d in (d1, d2)]
+        if not all(s.is_normal for s in states):
             continue
         values = []
-        for diagram in (d1, d2):
-            link, ok = engine.link_state(SuffixState(diagram, u, "induction"))
+        for s in states:
+            link, ok = engine.link_state(s)
             if not ok:
                 values = []
                 break
@@ -480,15 +478,17 @@ def _cmd_gb_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _positive(text: str) -> int:
-    """argparse type for counts, sizes and limits: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is below 1")
-    return value
+def _at_least(low: int):
+    """argparse type for counts, sizes, limits and degrees: an int >= ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -513,9 +513,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hilbert", action="store_true", help="cross-check with Hilbert counting")
     p.add_argument("--bounds", action="store_true", help="report closed-form bounds")
     p.add_argument("--order", choices=["induction", "lex"], default="induction")
-    p.add_argument("--limit", type=_positive, default=oracle.DEFAULT_FACET_LIMIT,
+    p.add_argument("--limit", type=_at_least(1), default=oracle.DEFAULT_FACET_LIMIT,
                    help="facet oracle vertex limit")
-    p.add_argument("--cache-cap", type=_positive, default=None, help="memo cache size cap")
+    p.add_argument("--cache-cap", type=_at_least(1), default=None, help="memo cache size cap")
     p.set_defaults(func=_cmd_invariants)
 
     p = sub.add_parser("gens", help="monomial generators and 2-minors as JSON")
@@ -524,9 +524,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="facet summary and Hilbert table")
     diagram_arg(p)
-    p.add_argument("--limit", type=_positive, default=oracle.DEFAULT_FACET_LIMIT)
-    p.add_argument("--hilbert-degree", type=int, default=None)
-    p.add_argument("--facet-threshold", type=int, default=200,
+    p.add_argument("--limit", type=_at_least(1), default=oracle.DEFAULT_FACET_LIMIT)
+    p.add_argument("--hilbert-degree", type=_at_least(0), default=None)
+    p.add_argument("--facet-threshold", type=_at_least(0), default=200,
                    help="suppress the facet list above this count")
     p.set_defaults(func=_cmd_oracle)
 
@@ -536,30 +536,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("sweep", help="enumerate diagrams in a box and report each")
-    p.add_argument("--box", type=_positive, nargs=3, required=True, metavar=("A", "B", "C"))
+    p.add_argument("--box", type=_at_least(1), nargs=3, required=True, metavar=("A", "B", "C"))
     p.add_argument("--filter", choices=["all", "pp", "spp"], default="all")
     p.add_argument("--pairs", action="store_true",
                    help="check monotonicity over nested strong-projection pairs")
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--limit", type=_positive, default=20000, help="maximum diagrams to enumerate")
-    p.add_argument("--facet-limit", type=int, default=oracle.DEFAULT_FACET_LIMIT)
-    p.add_argument("--sample", type=_positive, default=None, help="random sample instead of enumeration")
+    p.add_argument("--limit", type=_at_least(1), default=20000, help="maximum diagrams to enumerate")
+    p.add_argument("--facet-limit", type=_at_least(1), default=oracle.DEFAULT_FACET_LIMIT)
+    p.add_argument("--sample", type=_at_least(1), default=None, help="random sample instead of enumeration")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cache-cap", type=_positive, default=None)
+    p.add_argument("--cache-cap", type=_at_least(1), default=None)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("search", help="hunt for multiplicity-above-box counterexamples")
-    p.add_argument("--box", type=_positive, nargs=3, required=True, metavar=("A", "B", "C"))
-    p.add_argument("--limit", type=_positive, default=20000)
-    p.add_argument("--facet-limit", type=int, default=oracle.DEFAULT_FACET_LIMIT)
-    p.add_argument("--cache-cap", type=_positive, default=None)
+    p.add_argument("--box", type=_at_least(1), nargs=3, required=True, metavar=("A", "B", "C"))
+    p.add_argument("--limit", type=_at_least(1), default=20000)
+    p.add_argument("--facet-limit", type=_at_least(1), default=oracle.DEFAULT_FACET_LIMIT)
+    p.add_argument("--cache-cap", type=_at_least(1), default=None)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("gb-check", help="bounded-degree binomial reduction check")
     diagram_arg(p)
-    p.add_argument("--max-degree", type=int, default=4)
-    p.add_argument("--limit", type=_positive, default=oracle.DEFAULT_MONOMIAL_LIMIT)
+    p.add_argument("--max-degree", type=_at_least(2), default=4)
+    p.add_argument("--limit", type=_at_least(1), default=oracle.DEFAULT_MONOMIAL_LIMIT)
     p.set_defaults(func=_cmd_gb_check)
 
     return parser

@@ -196,9 +196,9 @@ def reduction_number(diagram: Diagram) -> int:
     """Reduction number of the defining monomial ideal; equals the engine's
     regularity.  For full boxes the two-smallest-sides value is asserted as
     a cross-check."""
-    from . import engine
+    from .engine import Engine
 
-    reg = engine.invariants(diagram).reg
+    reg = Engine().invariants(diagram).reg
     a, b, c = diagram.a, diagram.b, diagram.c
     if diagram == box(a, b, c) and reg != rect_regularity(a, b, c):
         raise RuntimeError("box reduction number disagrees with the closed form")

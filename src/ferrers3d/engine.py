@@ -7,7 +7,9 @@ order.  A phantom point is a cone apex and changes nothing; at a normal
 point the invariants combine the deleted complex with the link, and the
 link is re-expressed as a suffix state of a smaller diagram built from the
 zones around the point.  Simplex join factors never change regularity or
-multiplicity and are dropped.
+multiplicity and are dropped.  One loop walks the whole chain, through the
+stage-two flip and down the layers; only links recurse, so the stack depth
+grows with link nesting, not with the number of layers.
 
 Because the link re-expression is intricate, every constructed link state
 is validated against the zone formula, and (on small hosts) against the
@@ -21,7 +23,7 @@ index step.  Once per state: its realized set (the host's deep points plus
 the start's suffix of the first-layer order) and its normality verdict
 (cached on the ``SuffixState``).  The canonical key, the normality test,
 link construction, link validation and the literal graph link all read
-that one set.
+that one set.  Each ``Engine`` owns its memo; there is no process-wide one.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .diagram import (
     has_projection_property,
     has_strong_projection_property,
     reduce_points,
-    validate,
     zones,
 )
 from .errors import InvalidInput, LinkMismatch, NotFerrers, NotNormal, UnsupportedDiagram
@@ -72,6 +73,10 @@ class SuffixState:
     host: Diagram
     start: "Point | _Sentinel"
     flavor: str
+
+    def __post_init__(self):
+        if self.flavor not in (INDUCTION, LEX):
+            raise InvalidInput(f"unknown order flavor {self.flavor!r}")
 
     @cached_property
     def realized(self) -> frozenset[Point]:
@@ -139,18 +144,6 @@ def canonical_key(s: SuffixState):
     return (rel, start, s.flavor)
 
 
-def suffix_state_to_json(s: SuffixState) -> dict:
-    start = "past_layer_1" if isinstance(s.start, _Sentinel) else list(s.start)
-    return {"host": {"layers": [list(l) for l in s.host.layers]}, "start": start, "flavor": s.flavor}
-
-
-def suffix_state_from_json(data: dict) -> SuffixState:
-    host = validate(data["host"]["layers"])
-    raw = data["start"]
-    start = PAST_LAYER_1 if raw == "past_layer_1" else Point(*raw)
-    return SuffixState(host, start, data["flavor"])
-
-
 class Engine:
     """Memoized evaluator for suffix states.
 
@@ -192,9 +185,7 @@ class Engine:
             raise UnsupportedDiagram("the diagram lacks the projection property")
         if order == LEX and not has_strong_projection_property(diagram):
             raise UnsupportedDiagram("lexicographic shedding needs the strong projection property")
-        if order not in (INDUCTION, LEX):
-            raise ValueError(f"unknown order flavor {order!r}")
-        reg, mult = self._full_value(diagram, order)
+        reg, mult = self.suffix_invariants(_first_state(diagram, order))
         ring_dim = diagram.a + diagram.b + diagram.c - 2
         if mult < 1 or reg >= ring_dim:
             raise RuntimeError(
@@ -206,55 +197,51 @@ class Engine:
     def suffix_invariants(self, s: SuffixState) -> tuple[int, int]:
         """(regularity, multiplicity) of the complex the state denotes.
 
-        The suffix chain of one host is walked iteratively and folded
-        backwards from its base case; recursion only happens through links,
+        The chain is walked in one loop and folded backwards from its base
+        case, a one-layer host past layer 1.  The stage-two flip and the
+        step past layer 1 to the deeper layers pass the value through and
+        are not counted as states.  Recursion only happens through links,
         whose realized sets shrink strictly.
         """
-        chain: list[tuple[object, SuffixState]] = []
+        chain: list[tuple[object, SuffixState | None]] = []
         cur = s
         while True:
             key = canonical_key(cur)
-            val = self._get(key)
-            if val is not None:
-                base = val
+            base = self._get(key)
+            if base is not None:
                 break
             if isinstance(cur.start, _Sentinel):
-                base = self._tail_value(cur.host, cur.flavor)
-                self._put(key, base)
-                break
-            if cur.flavor == INDUCTION and _stage_two(cur.host, cur.start):
-                base = self.suffix_invariants(_flip_state(cur))
-                self._put(key, base)
-                break
-            chain.append((key, cur))
-            cur = _successor(cur)
+                chain.append((key, None))
+                if len(cur.host.layers) == 1:
+                    base = (0, 1)
+                    break
+                # layer 2 is a partition, so the deeper layers are already essential
+                cur = _first_state(Diagram(cur.host.layers[1:]), cur.flavor)
+            elif cur.flavor == INDUCTION and _stage_two(cur.host, cur.start):
+                chain.append((key, None))
+                cur = _flip_state(cur)
+            else:
+                chain.append((key, cur))
+                cur = _successor(cur)
 
         for key, st in reversed(chain):
-            self.stats["states"] += 1
-            if st.is_normal:
-                link, ok = self.link_state(st)
-                if ok:
-                    lreg, lmult = self.suffix_invariants(link)
-                else:
-                    self.stats["fallbacks"] += 1
-                    log.warning("link validation failed at %s in %s; using facet fallback",
-                                tuple(st.start), st.host)
-                    lreg, lmult = self._link_by_facets(st)
-                reg, mult = base
-                base = (max(reg, lreg + 1), mult + lmult)
+            if st is not None:
+                self.stats["states"] += 1
+                if st.is_normal:
+                    link, ok = self.link_state(st)
+                    if ok:
+                        lreg, lmult = self.suffix_invariants(link)
+                    else:
+                        self.stats["fallbacks"] += 1
+                        log.warning("link validation failed at %s in %s; using facet fallback",
+                                    tuple(st.start), st.host)
+                        lreg, lmult = self._link_by_facets(st)
+                    reg, mult = base
+                    base = (max(reg, lreg + 1), mult + lmult)
             self._put(key, base)
         return base
 
     # -- internals ---------------------------------------------------------------
-
-    def _full_value(self, diagram: Diagram, flavor: str) -> tuple[int, int]:
-        return self.suffix_invariants(_first_state(diagram, flavor))
-
-    def _tail_value(self, host: Diagram, flavor: str) -> tuple[int, int]:
-        if not host.deep_points:
-            return (0, 1)
-        red, _ = reduce_points(host.deep_points)
-        return self._full_value(red, flavor)
 
     def link_state(self, s: SuffixState) -> tuple[SuffixState, bool]:
         """Re-express the link of the start vertex as a suffix state of a
@@ -396,19 +383,3 @@ def _literal_link(s: SuffixState) -> tuple[list[Point], set[frozenset[Point]]]:
 
 def _facet_count(points, edges) -> int:
     return len(kernels.maximal_independent_sets(kernels.adjacency(points, edges)))
-
-
-#: Shared default engine; sweeps benefit from its cross-diagram memo.
-DEFAULT_ENGINE = Engine()
-
-
-def invariants(diagram: Diagram, order: str = INDUCTION) -> InvariantsReport:
-    return DEFAULT_ENGINE.invariants(diagram, order)
-
-
-def suffix_invariants(s: SuffixState) -> tuple[int, int]:
-    return DEFAULT_ENGINE.suffix_invariants(s)
-
-
-def link_state(s: SuffixState) -> tuple[SuffixState, bool]:
-    return DEFAULT_ENGINE.link_state(s)

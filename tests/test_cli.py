@@ -1,5 +1,4 @@
 import json
-import sys
 
 import pytest
 
@@ -251,7 +250,9 @@ def test_file_input(tmp_path, capsys):
 
 
 class TestNumberGuards:
-    """Counts, sizes and limits below 1 are input errors (exit 2)."""
+    """Numbers below their floor are input errors (exit 2): counts, sizes
+    and limits below 1, a Hilbert degree or facet threshold below 0 and a
+    rewriting degree below 2."""
 
     @pytest.mark.parametrize("argv", [
         ("sweep", "--box", "0", "2", "2"),
@@ -263,38 +264,41 @@ class TestNumberGuards:
         ("sweep", "--box", "2", "2", "2", "--cache-cap", "0"),
         ("sweep", "--box", "2", "2", "2", "--limit", "0"),
         ("invariants", BOX222, "--oracle", "--limit", "0"),
+        ("oracle", BOX222, "--hilbert-degree", "-2"),
+        ("oracle", BOX222, "--facet-threshold", "-1"),
+        ("gb-check", BOX222, "--max-degree", "1"),
+        ("gb-check", BOX222, "--max-degree", "-1"),
+        ("sweep", "--box", "2", "2", "2", "--oracle", "--facet-limit", "-5"),
+        ("search", "--box", "2", "2", "2", "--facet-limit", "0"),
     ], ids=lambda argv: " ".join(argv).replace(BOX222, "BOX222"))
     def test_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         out = capsys.readouterr()
         assert exc.value.code == 2
-        assert "below 1" in out.err and not out.out
-
-
-def _stack_depth() -> int:
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
+        floor = {"--hilbert-degree": 0, "--facet-threshold": 0, "--max-degree": 2}.get(argv[-2], 1)
+        assert f"is below {floor}" in out.err and not out.out
 
 
 class TestInternalErrors:
-    def test_recursion_too_deep_exits_four(self, capsys):
-        tall = json.dumps({"layers": [[1]] * 60})
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(_stack_depth() + 100)
-        try:
-            code = main(["invariants", tall])
-        finally:
-            sys.setrecursionlimit(limit)
+    def test_recursion_too_deep_exits_four(self, capsys, monkeypatch):
+        def too_deep(self, s):
+            raise RecursionError("maximum recursion depth exceeded")
+        monkeypatch.setattr(Engine, "suffix_invariants", too_deep)
+        code = main(["invariants", BOX222])
         out = capsys.readouterr()
         assert code == 4
         assert "too deep" in out.err and not out.out
-        assert run(capsys, "invariants", tall)[0] == 0  # the same box at the normal limit
+
+    def test_tall_box_needs_no_recursion(self, capsys):
+        # one layer step per loop iteration: 400 layers at the default limit
+        code, out, _ = run(capsys, "invariants", json.dumps({"layers": [[1]] * 400}))
+        data = json.loads(out)
+        assert code == 0
+        assert (data["engine"]["reg"], data["engine"]["mult"]) == (0, 1)
 
     def test_engine_range_error_exits_three(self, capsys, monkeypatch):
-        monkeypatch.setattr(Engine, "_full_value", lambda self, d, flavor: (0, 0))
+        monkeypatch.setattr(Engine, "suffix_invariants", lambda self, s: (0, 0))
         code, out, err = run(capsys, "invariants", BOX222)
         assert code == 3 and not out
         assert "engine bug" in err

@@ -14,7 +14,7 @@ from ferrers3d import (
     validate,
 )
 from ferrers3d import minors
-from ferrers3d.diagram import order_key
+from ferrers3d.diagram import Diagram, order_key, reduce_points
 from ferrers3d.engine import (
     INDUCTION,
     LEX,
@@ -24,8 +24,6 @@ from ferrers3d.engine import (
     _successor,
     canonical_key,
     realized_set,
-    suffix_state_from_json,
-    suffix_state_to_json,
 )
 from ferrers3d.errors import InvalidInput, NotNormal, UnsupportedDiagram
 from ferrers3d.families import enumerate_diagrams, sample_diagrams
@@ -62,6 +60,12 @@ class TestInvariants:
         assert has_projection_property(CLOSURE)
         with pytest.raises(UnsupportedDiagram):
             engine.invariants(CLOSURE, order=LEX)
+
+    def test_unknown_flavor_rejected(self, engine):
+        with pytest.raises(InvalidInput):
+            SuffixState(box(2, 2, 2), Point(1, 1, 1), "bogus")
+        with pytest.raises(InvalidInput):
+            engine.invariants(box(2, 2, 2), order="bogus")
 
 
 class TestSuffixInvariants:
@@ -146,12 +150,6 @@ class TestCanonicalKey:
         s1 = SuffixState(box(2, 2, 2), Point(1, 1, 2), INDUCTION)
         s2 = SuffixState(box(2, 2, 2), Point(1, 1, 2), LEX)
         assert canonical_key(s1) != canonical_key(s2)
-
-    def test_json_round_trip(self):
-        for start in (Point(1, 2, 1), PAST_LAYER_1):
-            s = SuffixState(box(2, 3, 2), start, INDUCTION)
-            again = suffix_state_from_json(suffix_state_to_json(s))
-            assert canonical_key(again) == canonical_key(s)
 
     def test_translation_invariance(self):
         # suffixes that collapse to the same relabeled set share a key
@@ -272,6 +270,13 @@ class TestTraversal:
         eng = Engine()
         eng.invariants(validate([[5, 5, 5, 4, 1], [4, 4, 2]]))
         assert len(calls) == eng.stats["states"]
+
+    def test_layer_step_is_the_reduced_deep_set(self):
+        # the engine steps past layer 1 by slicing off the first layer
+        multi = [d for d in enumerate_diagrams(3, 3, 3) if d.a > 1]
+        assert multi
+        for d in multi:
+            assert Diagram(d.layers[1:]) == reduce_points(d.deep_points)[0]
 
     def test_realized_sets_and_successors_follow_the_order_key(self):
         # reference: the deep points plus the first-layer points whose order
