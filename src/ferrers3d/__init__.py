@@ -49,7 +49,6 @@ from .oracle import (
     toric_gb_check,
 )
 from .closed_forms import (
-    Ambiguous,
     ProfileBounds,
     SegreFactor,
     ferrers2d_multiplicity,

@@ -148,10 +148,7 @@ def _cmd_invariants(args) -> int:
     started = time.monotonic()
     engine_report = None
     if pp:
-        try:
-            engine_report = _engine_invariants(engine, diagram, args.order)
-        except UnsupportedDiagram as exc:
-            raise _CliFailure(EXIT_UNSUPPORTED, str(exc)) from exc
+        engine_report = _engine_invariants(engine, diagram, args.order)
         report["engine"] = _report_json(engine_report)
     elif not args.oracle and not args.hilbert:
         raise _CliFailure(
@@ -222,10 +219,7 @@ def _cmd_gens(args) -> int:
 def _cmd_oracle(args) -> int:
     diagram = _load_diagram(args.diagram)
     out: dict = {"input": diagram_to_json(diagram)}
-    try:
-        summary = oracle.complex_summary(diagram.points(), limit=args.limit)
-    except TooLarge as exc:
-        raise _CliFailure(EXIT_UNSUPPORTED, str(exc)) from exc
+    summary = oracle.complex_summary(diagram.points(), limit=args.limit)
     complex_json = {
         "facet_count": len(summary.facets),
         "pure": summary.pure,
@@ -237,10 +231,7 @@ def _cmd_oracle(args) -> int:
         complex_json["facets"] = [sorted(list(p) for p in f) for f in summary.facets]
     out["complex"] = complex_json
     if args.hilbert_degree is not None:
-        try:
-            table = oracle.hilbert_function(diagram, args.hilbert_degree)
-        except TooLarge as exc:
-            raise _CliFailure(EXIT_UNSUPPORTED, str(exc)) from exc
+        table = oracle.hilbert_function(diagram, args.hilbert_degree)
         out["hilbert"] = list(table.values)
     _emit(out)
     return EXIT_OK
@@ -455,10 +446,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_gb_check(args) -> int:
     diagram = _load_diagram(args.diagram)
-    try:
-        report = oracle.toric_gb_check(diagram, args.max_degree, monomial_limit=args.limit)
-    except TooLarge as exc:
-        raise _CliFailure(EXIT_UNSUPPORTED, str(exc)) from exc
+    report = oracle.toric_gb_check(diagram, args.max_degree, monomial_limit=args.limit)
     out: dict = {
         "input": diagram_to_json(diagram),
         "max_degree": args.max_degree,
@@ -573,6 +561,9 @@ def main(argv=None) -> int:
     except _CliFailure as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    except (TooLarge, UnsupportedDiagram) as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_UNSUPPORTED
     except Ferrers3DError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT

@@ -1,8 +1,10 @@
 """Closed formulas and bounds.
 
 Rectangular diagrams have exact trinomial multiplicity and a two-smallest-
-sides regularity; two-dimensional diagrams have a branch formula for the
-regularity and a nested-sum multiplicity; Segre products combine factor
+sides regularity; two-dimensional diagrams are one-sided ladder
+determinantal rings (Corso-Nagel, Monomial and toric ideals associated to
+Ferrers graphs, Trans. AMS 2009), whose regularity and multiplicity are
+read off the lattice paths inside the shape; Segre products combine factor
 invariants; and general diagrams get the pairwise-minimum regularity bound
 and, under the strong projection property, profile and box bounds.
 """
@@ -11,9 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
-from .diagram import Diagram, box, has_strong_projection_property, profile
+from .diagram import Diagram, _is_int, box, has_strong_projection_property, profile
 from .errors import HypothesisFailed, InvalidInput, UnsupportedDiagram
 
 
@@ -21,7 +24,7 @@ def as_partition(parts: Sequence[int]) -> tuple[int, ...]:
     parts = tuple(parts)
     if not parts:
         raise InvalidInput("a partition needs at least one part")
-    if any(not isinstance(p, int) or p < 1 for p in parts):
+    if any(not _is_int(p) or p < 1 for p in parts):
         raise InvalidInput("partition parts must be positive integers")
     if any(parts[t] < parts[t + 1] for t in range(len(parts) - 1)):
         raise InvalidInput("partition parts must be weakly decreasing")
@@ -41,69 +44,32 @@ def rect_regularity(a: int, b: int, c: int) -> int:
     return lo + mid - 2
 
 
-@dataclass(frozen=True)
-class Ambiguous:
-    """Both branch guards of the two-dimensional regularity formula hold and
-    disagree; carries both candidates, larger first."""
-
-    by_support: int
-    by_first_two: int
-
-    def candidates(self) -> tuple[int, int]:
-        return (self.by_support, self.by_first_two)
-
-
-def ferrers2d_regularity(parts: Sequence[int]) -> "int | Ambiguous":
+def ferrers2d_regularity(parts: Sequence[int]) -> int:
     """Regularity of the toric ring of a two-dimensional diagram.
 
-    With s the last index whose part is >= 2: the answer is s-1 when the
-    second part is >= 3 and the s-th part is >= 3, and min{j-1 : part_j = 2,
-    j >= 2} when the second part is <= 2.  Restricting the min to j >= 2 is
-    a correction to the published branch: it changes nothing when the first
-    part is >= 3 but repairs first part 2 (a 2x2 box is a quadric
-    hypersurface of regularity 1, not 0), as exhaustive facet enumeration
-    confirms.  When both guards hold (second part >= 3 and s-th part
-    exactly 2) the two values can differ and an Ambiguous value is returned
-    for the caller (or an oracle) to arbitrate.  Diagrams with no 2x2 box
-    give a polynomial ring, hence 0.
+    For parts l_1 >= ... >= l_n this is min({l_j + j - 3 : 2 <= j <= n} |
+    {n - 1}): the most right-then-up turns of a lattice path inside the
+    shape from its bottom-left cell to its top-right cell.  The ring is a
+    one-sided ladder determinantal ring of 2-minors whose h-polynomial
+    counts those paths by their turns (Corso-Nagel, Monomial and toric
+    ideals associated to Ferrers graphs, Trans. AMS 2009).  Like the ring,
+    the value is invariant under conjugation.
     """
     parts = as_partition(parts)
-    second = parts[1] if len(parts) > 1 else 0
-    if second <= 1:
-        return 0
-    s = max(t + 1 for t, p in enumerate(parts) if p >= 2)
-    twos = [t for t, p in enumerate(parts) if p == 2 and t >= 1]
-    by_first_two = min(twos) if twos else None
-    if second >= 3 and parts[s - 1] >= 3:
-        return s - 1
-    if second >= 3 and parts[s - 1] == 2:
-        assert by_first_two is not None
-        if s - 1 == by_first_two:
-            return s - 1
-        return Ambiguous(by_support=s - 1, by_first_two=by_first_two)
-    assert by_first_two is not None
-    return by_first_two
+    n = len(parts)
+    return min([parts[j - 1] + j - 3 for j in range(2, n + 1)] + [n - 1])
 
 
 def ferrers2d_multiplicity(parts: Sequence[int]) -> int:
-    """Multiplicity of the toric ring of a two-dimensional diagram, by the
-    nested sum over the part differences (empty-sum conventions: a single
-    row gives 1, two rows give the second part)."""
+    """Multiplicity of the toric ring of a two-dimensional diagram: the
+    number of lattice paths inside the shape from its bottom-left cell to
+    its top-right cell (Corso-Nagel, Trans. AMS 2009), counted row by row
+    upward by prefix sums."""
     parts = as_partition(parts)
-    n = len(parts)
-    if n == 1:
-        return 1
-    second = parts[1]
-    if n == 2:
-        return second
-
-    def level(t: int, hi: int) -> int:
-        lo = second - parts[t + 2] + 1
-        if t == 0:
-            return sum(range(lo, hi + 1)) if hi >= lo else 0
-        return sum(level(t - 1, j) for j in range(lo, hi + 1))
-
-    return level(n - 3, second)
+    ways = [1] * parts[-1]
+    for width in reversed(parts[:-1]):
+        ways = list(accumulate(ways + [0] * (width - len(ways))))
+    return ways[-1]
 
 
 def mu_bound(diagram: Diagram) -> int:
@@ -162,21 +128,16 @@ class ProfileBounds:
     box_reg_bound: int
     box_mult_bound: int
     profile_partition: tuple[int, ...]
-    profile_reg_ambiguous: bool
 
 
 def profile_bounds(diagram: Diagram) -> ProfileBounds:
     """Bounds from the xy-profile prism and from the bounding box; both need
-    the strong projection property.  An ambiguous profile regularity uses
-    the larger candidate, which keeps the bound valid."""
+    the strong projection property."""
     if not has_strong_projection_property(diagram):
         raise UnsupportedDiagram("profile bounds need the strong projection property")
     a, b, c = diagram.a, diagram.b, diagram.c
     part = profile(diagram, "xy")
-    reg2d = ferrers2d_regularity(part)
-    ambiguous = isinstance(reg2d, Ambiguous)
-    reg2d_value = max(reg2d.candidates()) if ambiguous else reg2d
-    profile_reg = (a + b + c - 2) - max(a + b - 1 - reg2d_value, c)
+    profile_reg = (a + b + c - 2) - max(a + b - 1 - ferrers2d_regularity(part), c)
     profile_mult = math.comb(a + b + c - 3, c - 1) * ferrers2d_multiplicity(part)
     box_reg = rect_regularity(a, b, c)
     box_mult = rect_multiplicity(a, b, c)
@@ -188,7 +149,6 @@ def profile_bounds(diagram: Diagram) -> ProfileBounds:
         box_reg_bound=box_reg,
         box_mult_bound=box_mult,
         profile_partition=part,
-        profile_reg_ambiguous=ambiguous,
     )
 
 

@@ -8,7 +8,6 @@ closed product form, used to refuse oversized sweeps upfront.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Iterator
 
 from .diagram import Diagram
@@ -40,15 +39,16 @@ def _check_box(a: int, b: int, c: int) -> None:
 
 
 def count_diagrams(a: int, b: int, c: int) -> int:
-    """Number of nonempty diagrams inside [a] x [b] x [c] (box product
-    formula minus the empty one)."""
+    """Number of nonempty diagrams inside [a] x [b] x [c]: MacMahon's box
+    product prod_{i,j,k} (i+j+k-1)/(i+j+k-2), whose k-product telescopes to
+    (i+j+c-1)/(i+j-1), minus the empty diagram."""
     _check_box(a, b, c)
-    total = Fraction(1)
+    num = den = 1
     for i in range(1, a + 1):
         for j in range(1, b + 1):
-            for k in range(1, c + 1):
-                total *= Fraction(i + j + k - 1, i + j + k - 2)
-    return int(total) - 1
+            num *= i + j + c - 1
+            den *= i + j - 1
+    return num // den - 1
 
 
 def enumerate_diagrams(a: int, b: int, c: int) -> Iterator[Diagram]:

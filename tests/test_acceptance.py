@@ -27,7 +27,6 @@ from ferrers3d import (
     toric_gb_check,
     validate,
 )
-from ferrers3d.closed_forms import Ambiguous
 from ferrers3d.engine import INDUCTION, Engine, SuffixState
 from ferrers3d.errors import TooLarge
 from ferrers3d.families import enumerate_diagrams
@@ -128,23 +127,12 @@ def test_criterion_6_monotonicity(pp_sweep_3):
 
 
 def test_criterion_7_two_dimensional_formulas():
-    ambiguous = []
-    for lam in partitions_up_to(10):
+    partitions = partitions_up_to(16)
+    for lam in partitions:
         rep = oracle_invariants(validate([list(lam)]))
-        assert ferrers2d_multiplicity(lam) == rep.mult, lam
-        reg = ferrers2d_regularity(lam)
-        if isinstance(reg, Ambiguous):
-            matches = [cand for cand in set(reg.candidates()) if cand == rep.reg]
-            assert len(matches) == 1, lam
-            ambiguous.append((lam, reg.candidates(), rep.reg))
-        else:
-            assert reg == rep.reg, lam
-    # a consistent precedence emerged: the min{j-1 : part_j = 2} branch wins
-    for lam, (by_support, by_first_two), true_reg in ambiguous:
-        assert true_reg == by_first_two, lam
-    _ok(7, f"2D formulas match the oracle on all 138 partitions with <= 10 cells; "
-           f"ambiguous cases {[(list(l), v) for l, _, v in ambiguous]} resolved by the "
-           f"min-branch every time")
+        assert (ferrers2d_regularity(lam), ferrers2d_multiplicity(lam)) == (rep.reg, rep.mult), lam
+    _ok(7, f"2D regularity and multiplicity match the oracle on all {len(partitions)} "
+           f"partitions with <= 16 cells")
 
 
 def test_criterion_8_groebner_claim(pp_sweep_3):

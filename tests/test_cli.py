@@ -169,6 +169,14 @@ class TestCompare:
         code, _, err = run(capsys, "compare", BOX222, '{"layers": [[1]]}')
         assert code == 2 and err
 
+    def test_size_refusal_exits_four(self, capsys):
+        # the second diagram lacks PP, and its 26 points exceed the facet limit
+        code, out, err = run(
+            capsys, "compare", '{"layers": [[1]]}',
+            '{"layers": [[6, 6, 1, 1, 1, 1, 1, 1, 1, 1], [3, 1, 1, 1]]}',
+        )
+        assert code == 4 and "facet limit" in err and out == ""
+
     def test_hypothesis_failure_diagnostic(self, capsys):
         code, out, _ = run(capsys, "compare", CLOSURE_JSON, '{"layers": [[3, 3, 3], [3, 3, 3]]}')
         data = json.loads(out)

@@ -1,10 +1,10 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import partitions_up_to
 from ferrers3d import (
     box,
     ferrers2d_multiplicity,
@@ -20,7 +20,7 @@ from ferrers3d import (
     segre_combine,
     validate,
 )
-from ferrers3d.closed_forms import Ambiguous, SegreFactor, as_partition
+from ferrers3d.closed_forms import SegreFactor, as_partition
 from ferrers3d.engine import Engine
 from ferrers3d.errors import HypothesisFailed, InvalidInput, UnsupportedDiagram
 from ferrers3d.families import enumerate_diagrams
@@ -59,11 +59,16 @@ class TestFerrers2D:
         assert ferrers2d_regularity((3, 3)) == 1
         assert ferrers2d_regularity((2, 1)) == 0
         assert ferrers2d_regularity((3, 2, 1)) == 1
+        for lam in [(3, 3, 2), (3, 3, 2, 2), (5, 3, 2, 2), (3, 3, 3, 2), (3, 3, 3, 3),
+                    (3, 3, 3, 2, 2)]:
+            assert ferrers2d_regularity(lam) == 2, lam
 
     def test_multiplicity_examples(self):
         assert ferrers2d_multiplicity((2, 2)) == 2
         assert ferrers2d_multiplicity((3, 2, 1)) == 2
         assert ferrers2d_multiplicity((9,)) == 1
+        assert ferrers2d_multiplicity((20,) * 20) == math.comb(38, 19)
+        assert ferrers2d_multiplicity((1,) * 5000) == 1
 
     def test_partition_validation(self):
         with pytest.raises(InvalidInput):
@@ -72,38 +77,26 @@ class TestFerrers2D:
             as_partition((1, 2))
         with pytest.raises(InvalidInput):
             as_partition((2, 0))
+        with pytest.raises(InvalidInput):
+            as_partition((True, True))
 
-    def test_ambiguous_case(self):
-        amb = ferrers2d_regularity((3, 3, 2, 2))
-        assert isinstance(amb, Ambiguous)
-        assert amb.candidates() == (3, 2)
-        amb = ferrers2d_regularity((5, 3, 2, 2))
-        assert amb.candidates() == (3, 2)
-
-    def test_coinciding_candidates_resolve(self):
-        assert ferrers2d_regularity((3, 3, 2)) == 2
-
-    def test_against_oracle_small(self):
-        for lam in partitions_up_to(8):
-            rep = oracle_invariants(validate([list(lam)]))
-            assert ferrers2d_multiplicity(lam) == rep.mult
-            reg = ferrers2d_regularity(lam)
-            if isinstance(reg, Ambiguous):
-                assert rep.reg in reg.candidates()
-            else:
-                assert reg == rep.reg
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 30), min_size=1, max_size=30))
+    def test_conjugation_invariance(self, raw):
+        lam = tuple(sorted(raw, reverse=True))
+        conjugate = tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
+        assert ferrers2d_regularity(conjugate) == ferrers2d_regularity(lam)
+        assert ferrers2d_multiplicity(conjugate) == ferrers2d_multiplicity(lam)
 
     def test_engine_matches_flat_sweep(self):
         # single-layer diagrams are two-dimensional; the recursion must
         # reproduce both flat formulas
         eng = Engine()
-        for d in enumerate_diagrams(1, 3, 3):
+        for d in enumerate_diagrams(1, 6, 6):
             lam = d.layers[0]
             rep = eng.invariants(d)
-            assert rep.mult == ferrers2d_multiplicity(lam)
-            reg = ferrers2d_regularity(lam)
-            if not isinstance(reg, Ambiguous):
-                assert rep.reg == reg
+            assert rep.reg == ferrers2d_regularity(lam), lam
+            assert rep.mult == ferrers2d_multiplicity(lam), lam
 
 
 class TestMuBound:

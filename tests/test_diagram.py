@@ -1,3 +1,4 @@
+import itertools
 import pickle
 
 import pytest
@@ -352,6 +353,13 @@ def test_enumeration_matches_box_product_formula():
     assert count_diagrams(3, 3, 3) == len(all_diagrams_3())
     seen = set(enumerate_diagrams(2, 3, 2))
     assert len(seen) == count_diagrams(2, 3, 2)
+
+
+def test_box_count_is_invariant_under_axis_permutations():
+    # the telescoped product treats c apart from a and b
+    for dims in itertools.product(range(1, 6), repeat=3):
+        counts = {count_diagrams(*perm) for perm in itertools.permutations(dims)}
+        assert len(counts) == 1, dims
 
 
 @pytest.mark.parametrize("dims", [(0, 2, 2), (2, 0, 2), (2, 2, -1)])
