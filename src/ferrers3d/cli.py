@@ -28,7 +28,7 @@ from .diagram import (
     zones,
 )
 from .engine import Engine, SuffixState
-from .errors import Ferrers3DError, InsufficientDegree, TooLarge, UnsupportedDiagram
+from .errors import Ferrers3DError, InsufficientDegree, LinkMismatch, TooLarge, UnsupportedDiagram
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -71,13 +71,14 @@ def _report_json(report: oracle.InvariantsReport) -> dict:
 
 
 def _engine_invariants(engine: Engine, diagram: Diagram, order: str = "induction"):
-    """The engine's report; an internal engine error exits 3 and names the
+    """The engine's report; an internal engine error, including a link that
+    failed validation beyond the fallback limit, exits 3 and names the
     diagram as its reproduction."""
     try:
         return engine.invariants(diagram, order=order)
     except RecursionError:  # a RuntimeError too, but it exits 4 in main()
         raise
-    except RuntimeError as exc:
+    except (RuntimeError, LinkMismatch) as exc:
         raise _CliFailure(
             EXIT_DISAGREE,
             f"internal engine error: {exc}; reproduction: {json.dumps(diagram_to_json(diagram))}",

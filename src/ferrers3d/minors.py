@@ -11,26 +11,26 @@ The leading pairs form a graph on the collection; its independence complex
 is the simplicial complex the whole package studies.  A first-layer point is
 "normal" when deleting it shrinks the leading-pair edge set of its order
 suffix, and "phantom" otherwise.
+
+One swap scan serves every caller, and it runs on packed integers.  A point
+becomes the code ``(i << 2w) | (j << w) | k``, where the field width ``w`` is
+the bit length of the largest coordinate in the call, so no coordinate is
+too large.  Every coordinate fits its field, so comparing two codes compares
+i first, then j, then k: integer order is lex order.  Swapping one
+coordinate takes that field from the other point, two mask operations, and
+for a pair ``u < v`` with swap partners p and q the pair leads its minor iff
+``u < p and u < q``.  Codes map back to the caller's points only in the
+results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable
+from itertools import chain, combinations
+from typing import AbstractSet, Collection, Container, Iterable, Iterator
 
 from .diagram import Diagram, OrderedPointList, Point
-from .errors import NotInLayer
-
-AXES = ("x", "y", "z")
-
-
-def swap_partners(u: Point, v: Point, axis: str) -> tuple[Point, Point]:
-    """The two points obtained by exchanging one coordinate of u and v."""
-    if axis == "x":
-        return Point(v.i, u.j, u.k), Point(u.i, v.j, v.k)
-    if axis == "y":
-        return Point(u.i, v.j, u.k), Point(v.i, u.j, v.k)
-    return Point(u.i, u.j, v.k), Point(v.i, v.j, u.k)
+from .errors import InvalidInput, NotInDiagram, NotInLayer
 
 
 @dataclass(frozen=True)
@@ -51,52 +51,60 @@ class PairGraph:
     edges: frozenset[frozenset[Point]]
 
 
-def _oriented(u: Point, v: Point, p: Point, q: Point) -> tuple[frozenset[Point], frozenset[Point]]:
-    smallest = min(u, v, p, q)
-    if smallest in (u, v):
-        return frozenset((u, v)), frozenset((p, q))
-    return frozenset((p, q)), frozenset((u, v))
+def _code(p: Point, w: int) -> int:
+    i, j, k = p
+    return (i << 2 * w) | (j << w) | k
 
 
-def _swap_minors(u: Point, v: Point, member: AbstractSet[Point]):
-    """Yield ``(axis, lead, trail)`` for each nonzero 2-minor obtained by
-    swapping one coordinate of u and v inside the collection.
+def _pack(points: Collection[Point]) -> tuple[dict[int, Point], int]:
+    """Each distinct point keyed by its packed code, and the field width."""
+    flat = list(chain.from_iterable(points))
+    if flat and min(flat) < 0:
+        raise InvalidInput("point coordinates must be nonnegative")
+    w = max(flat, default=0).bit_length()
+    return {_code(p, w): p for p in points}, w
 
-    A swap returns the pair itself exactly when its first partner is u or v.
-    """
-    for axis in AXES:
-        p, q = swap_partners(u, v, axis)
-        if p in member and q in member and p != u and p != v:
-            yield (axis, *_oriented(u, v, p, q))
+
+def _scan(pairs: Iterable[tuple[int, int]], member: Container[int], w: int) -> Iterator[tuple]:
+    """Yield ``(axis, u, v, p, q)`` for each pair ``u < v`` of codes and each
+    axis whose swap gives partners p, q in ``member``: the nonzero 2-minor
+    T_u T_v - T_p T_q.  The swap returns the pair itself exactly when u and
+    v agree on that axis (p = u) or on both others (p = v)."""
+    field = (1 << w) - 1
+    masks = (("x", field << 2 * w), ("y", field << w), ("z", field))
+    for u, v in pairs:
+        x = u ^ v
+        for axis, m in masks:
+            d = x & m
+            if d and d != x and u ^ d in member and v ^ d in member:
+                yield axis, u, v, u ^ d, v ^ d
 
 
 def two_minors(points: Iterable[Point]) -> tuple[Binomial2Minor, ...]:
-    """All distinct nonzero 2-minors of the collection.
+    """All distinct nonzero 2-minors of the collection, in lex order of
+    (lead, trail).
 
     The same unordered {lead, trail} pair arising from several axes or pair
     orderings is emitted once, with every applicable axis recorded.
     """
-    pts = sorted({Point(*p) for p in points})
-    member = set(pts)
-    found: dict[tuple[frozenset[Point], frozenset[Point]], set[str]] = {}
-    for a, u in enumerate(pts):
-        for v in pts[a + 1:]:
-            for axis, lead, trail in _swap_minors(u, v, member):
-                found.setdefault((lead, trail), set()).add(axis)
+    point, w = _pack([Point(*p) for p in points])
+    found: dict[tuple[tuple[int, int], tuple[int, int]], set[str]] = {}
+    for axis, u, v, p, q in _scan(combinations(sorted(point), 2), point, w):
+        pq = (p, q) if p < q else (q, p)
+        key = ((u, v), pq) if u < pq[0] else (pq, (u, v))
+        found.setdefault(key, set()).add(axis)
     return tuple(
-        Binomial2Minor(lead, trail, frozenset(dirs))
-        for (lead, trail), dirs in sorted(found.items(), key=lambda kv: (sorted(kv[0][0]), sorted(kv[0][1])))
+        Binomial2Minor(frozenset(map(point.get, lead)), frozenset(map(point.get, trail)), frozenset(axes))
+        for (lead, trail), axes in sorted(found.items())
     )
 
 
 def leading_edges(points: Iterable[Point]) -> frozenset[frozenset[Point]]:
     """The lex leading pairs of all nonzero 2-minors, as an edge set."""
-    pts = sorted({Point(*p) for p in points})
-    member = set(pts)
-    return frozenset(
-        lead for a, u in enumerate(pts) for v in pts[a + 1:]
-        for _, lead, _ in _swap_minors(u, v, member)
-    )
+    point, w = _pack([Point(*p) for p in points])
+    leads = {(u, v) for _, u, v, p, q in _scan(combinations(sorted(point), 2), point, w)
+             if u < p and u < q}
+    return frozenset(frozenset((point[u], point[v])) for u, v in leads)
 
 
 def leading_pair_graph(points: Iterable[Point]) -> PairGraph:
@@ -109,30 +117,27 @@ def monomial_generators(diagram: Diagram) -> frozenset[Point]:
     return frozenset(diagram.points())
 
 
-def _lead_survives_without(edge: frozenset[Point], member: AbstractSet[Point], u: Point) -> bool:
-    """True if swapping the edge's own two points yields a minor with this
-    edge as its leading pair and a trail that avoids u."""
-    if u in edge:
-        return False
-    p, q = edge
-    return any(lead == edge and u not in trail for _, lead, trail in _swap_minors(p, q, member))
-
-
 def is_normal_in(collection: AbstractSet[Point], u: Point) -> bool:
     """Definitional normality test on an arbitrary collection containing u:
     does deleting u shrink the leading-pair edge set?
 
     Only edges leading some minor that involves u can disappear.  An edge
-    through u always disappears, so the scan stops at the first such lead;
-    the other candidate leads are tested afterwards, each in constant time.
+    through u always disappears, so the scan of u's pairs stops at the first
+    such lead; each other candidate lead survives iff one swap of its own
+    pair still leads a minor whose trail avoids u.
     """
+    point, w = _pack(collection)
+    c = _code(u, w)
+    if point.get(c) != u:
+        raise NotInDiagram(f"{tuple(u)} is not in the collection")
     candidates = set()
-    for v in collection:
-        for _, lead, _ in _swap_minors(u, v, collection):
-            if u in lead:
-                return True
-            candidates.add(lead)
-    return any(not _lead_survives_without(e, collection, u) for e in candidates)
+    for _, a, b, p, q in _scan(((c, v) if c < v else (v, c) for v in point if v != c), point, w):
+        if a < p and a < q:
+            return True
+        candidates.add((p, q) if p < q else (q, p))
+    survivors = {(a, b) for _, a, b, p, q in _scan(candidates, point, w)
+                 if a < p and a < q and c != p and c != q}
+    return survivors != candidates
 
 
 def _suffix_sets(

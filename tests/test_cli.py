@@ -4,6 +4,7 @@ import pytest
 
 from ferrers3d import box, diagram_from_json
 from ferrers3d.cli import main
+from ferrers3d import engine
 from ferrers3d.engine import Engine
 from ferrers3d.oracle import InvariantsReport
 
@@ -311,3 +312,12 @@ class TestInternalErrors:
         assert code == 3 and not out
         assert "engine bug" in err
         assert json.dumps({"layers": [[2, 2], [2, 2]]}) in err
+
+    def test_link_mismatch_exits_three(self, capsys, monkeypatch):
+        # every link fails validation and none is small enough to enumerate
+        monkeypatch.setattr(Engine, "_validate_link", lambda self, *args: False)
+        monkeypatch.setattr(engine, "FALLBACK_LIMIT", 0)
+        code, out, err = run(capsys, "invariants", json.dumps({"layers": [[3, 3, 3]] * 3}))
+        assert code == 3 and not out
+        assert "fallback limit" in err
+        assert json.dumps({"layers": [[3, 3, 3]] * 3}) in err

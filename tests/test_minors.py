@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ferrers3d import (
     Point,
@@ -13,7 +15,7 @@ from ferrers3d import (
     two_minors,
     validate,
 )
-from ferrers3d.errors import NotInLayer
+from ferrers3d.errors import InvalidInput, NotInDiagram, NotInLayer
 from ferrers3d.families import enumerate_diagrams
 from ferrers3d.minors import is_normal_in, leading_edges
 
@@ -22,6 +24,84 @@ CLOSURE = from_generators([(1, 3, 2), (2, 2, 3)])
 
 def pair(*pts):
     return frozenset(Point(*p) for p in pts)
+
+
+# -- reference: the literal swap of every pair of Point objects ------------------
+
+
+def swap_partners(u, v, axis):
+    """The two points obtained by exchanging one coordinate of u and v."""
+    if axis == "x":
+        return Point(v.i, u.j, u.k), Point(u.i, v.j, v.k)
+    if axis == "y":
+        return Point(u.i, v.j, u.k), Point(v.i, u.j, v.k)
+    return Point(u.i, u.j, v.k), Point(v.i, v.j, u.k)
+
+
+def oriented(u, v, p, q):
+    """(lead, trail): the lead holds the lex smallest of the four points."""
+    if min(u, v, p, q) in (u, v):
+        return frozenset((u, v)), frozenset((p, q))
+    return frozenset((p, q)), frozenset((u, v))
+
+
+def reference_minors(points):
+    """{(lead, trail): axes} over every pair and every axis."""
+    pts = sorted({Point(*p) for p in points})
+    member = set(pts)
+    found = {}
+    for a, u in enumerate(pts):
+        for v in pts[a + 1:]:
+            for axis in "xyz":
+                p, q = swap_partners(u, v, axis)
+                if p in member and q in member and p not in (u, v):
+                    found.setdefault(oriented(u, v, p, q), set()).add(axis)
+    return found
+
+
+def reference_leading_edges(points):
+    return {lead for lead, _ in reference_minors(points)}
+
+
+# Small values make many minors; values near 100,000 need a 17-bit field.
+COORD = st.one_of(st.integers(0, 3), st.integers(99_998, 100_000))
+POINT_SETS = st.sets(st.builds(Point, COORD, COORD, COORD), max_size=12)
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(POINT_SETS)
+    def test_leading_edges(self, pts):
+        assert leading_edges(pts) == reference_leading_edges(pts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(POINT_SETS)
+    def test_two_minors(self, pts):
+        expected = sorted(
+            ((lead, trail, axes) for (lead, trail), axes in reference_minors(pts).items()),
+            key=lambda m: (sorted(m[0]), sorted(m[1])),
+        )
+        assert [(m.lead, m.trail, m.directions) for m in two_minors(pts)] == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(POINT_SETS.filter(bool))
+    def test_is_normal_in(self, pts):
+        edges = reference_leading_edges(pts)
+        for u in pts:
+            assert is_normal_in(frozenset(pts), u) == (reference_leading_edges(pts - {u}) != edges)
+
+    def test_no_fixed_field_width(self):
+        big = 100_000
+        square = frozenset(Point(1, j, k) for j in (1, big) for k in (1, big))
+        assert leading_edges(square) == {pair((1, 1, 1), (1, big, big))}
+        assert all(is_normal_in(square, u) for u in square)
+        assert not is_normal_in(square - {Point(1, 1, 1)}, Point(1, 1, big))
+
+    def test_rejects_points_it_cannot_pack(self):
+        with pytest.raises(InvalidInput):
+            leading_edges([Point(-1, 1, 1), Point(1, 2, 2)])
+        with pytest.raises(NotInDiagram):
+            is_normal_in(frozenset(box(2, 2, 1).points()), Point(3, 1, 1))
 
 
 class TestGenerators:
