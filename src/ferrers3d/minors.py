@@ -118,8 +118,9 @@ def monomial_generators(diagram: Diagram) -> frozenset[Point]:
 
 
 def is_normal_in(collection: AbstractSet[Point], u: Point) -> bool:
-    """Definitional normality test on an arbitrary collection containing u:
-    does deleting u shrink the leading-pair edge set?
+    """Definitional normality test on an arbitrary collection containing u
+    (``NotInDiagram`` otherwise): does deleting u shrink the leading-pair
+    edge set?
 
     Only edges leading some minor that involves u can disappear.  An edge
     through u always disappears, so the scan of u's pairs stops at the first

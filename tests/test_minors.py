@@ -90,6 +90,8 @@ class TestAgainstReference:
         for u in pts:
             assert is_normal_in(frozenset(pts), u) == (reference_leading_edges(pts - {u}) != edges)
 
+
+class TestPacking:
     def test_no_fixed_field_width(self):
         big = 100_000
         square = frozenset(Point(1, j, k) for j in (1, big) for k in (1, big))
