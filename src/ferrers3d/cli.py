@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 
 from . import closed_forms, families, minors, oracle
 from .diagram import (
@@ -70,12 +71,13 @@ def _report_json(report: oracle.InvariantsReport) -> dict:
     }
 
 
-def _engine_invariants(engine: Engine, diagram: Diagram, order: str = "induction"):
-    """The engine's report; an internal engine error, including a link that
-    failed validation beyond the fallback limit, exits 3 and names the
-    diagram as its reproduction."""
+@contextmanager
+def _engine_errors(diagram: Diagram):
+    """An internal engine error, including a link that failed validation
+    beyond the fallback limit, exits 3 and names the diagram as its
+    reproduction."""
     try:
-        return engine.invariants(diagram, order=order)
+        yield
     except RecursionError:  # a RuntimeError too, but it exits 4 in main()
         raise
     except (RuntimeError, LinkMismatch) as exc:
@@ -83,6 +85,11 @@ def _engine_invariants(engine: Engine, diagram: Diagram, order: str = "induction
             EXIT_DISAGREE,
             f"internal engine error: {exc}; reproduction: {json.dumps(diagram_to_json(diagram))}",
         ) from exc
+
+
+def _engine_invariants(engine: Engine, diagram: Diagram, order: str = "induction"):
+    with _engine_errors(diagram):
+        return engine.invariants(diagram, order=order)
 
 
 def _emit(obj: object) -> None:
@@ -251,11 +258,12 @@ def _link_diagnostic(d1: Diagram, d2: Diagram, engine: Engine) -> list[dict]:
             continue
         values = []
         for s in states:
-            link, ok = engine.link_state(s)
-            if not ok:
-                values = []
-                break
-            values.append(engine.suffix_invariants(link))
+            with _engine_errors(s.host):
+                link, ok = engine.link_state(s)
+                if not ok:
+                    values = []
+                    break
+                values.append(engine.suffix_invariants(link))
         if len(values) == 2 and values[0][1] > values[1][1]:
             out.append(
                 {

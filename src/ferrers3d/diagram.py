@@ -10,13 +10,18 @@ This module owns construction and validation, coordinate statistics
 (alpha/beta/gamma), the six-zone split around a point, the projection and
 strong projection properties, the lexicographic and induction orders on the
 first layer, flips, reductions and plane profiles.
+
+A point set becomes a diagram through its column heights ``{(i, j): max k}``,
+read in one pass; it is downward closed exactly when those heights validate
+and hold as many points as the set.  Zones and other boxes of a diagram are
+cut from the cached point tuple one column slice at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidInput, NotFerrers, NotInDiagram
 
@@ -48,9 +53,9 @@ class Diagram:
     Use :func:`validate`, :func:`from_generators` or :func:`from_points` to
     construct one; the raw constructor performs no checking.
 
-    The point tuple and the first-layer orders are built lazily, at most
-    once per diagram, and derived from ``layers`` alone: equality, hashing,
-    ``repr`` and pickling see only ``layers``.
+    The point tuple, its column slices and the first-layer orders are built
+    lazily, at most once per diagram, and derived from ``layers`` alone:
+    equality, hashing, ``repr`` and pickling see only ``layers``.
     """
 
     layers: tuple[tuple[int, ...], ...]
@@ -98,6 +103,22 @@ class Diagram:
             return ()
         return self._points[self._layer_starts[i - 1]:self._layer_starts[i]]
 
+    def box_points(self, lo: Sequence[int], hi: Sequence[int]) -> list[Point]:
+        """The points p with lo <= p <= hi componentwise, in lexicographic
+        order.  Each column contributes one slice of its points, so the cost
+        follows the columns and the points returned, not the diagram."""
+        (i0, j0, k0), (i1, j1, k1) = lo, hi
+        i0, j0, k0 = max(i0, 1), max(j0, 1), max(k0, 1)
+        out: list[Point] = []
+        if i0 > i1 or j0 > j1 or k0 > k1:
+            return out
+        for cols in self._columns[i0 - 1:i1]:
+            for col in cols[j0 - 1:j1]:
+                if len(col) < k0:
+                    break  # heights only fall along a row
+                out += col[k0 - 1:k1]
+        return out
+
     @cached_property
     def deep_points(self) -> frozenset[Point]:
         """The points above the first layer (x-coordinate at least 2)."""
@@ -129,6 +150,19 @@ class Diagram:
         for layer in self.layers:
             starts.append(starts[-1] + sum(layer))
         return tuple(starts)
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[tuple[Point, ...], ...], ...]:
+        """Per layer, each column's points (i, j, 1..h) as a slice of the
+        point tuple."""
+        pts, start, layers = self._points, 0, []
+        for layer in self.layers:
+            cols = []
+            for h in layer:
+                cols.append(pts[start:start + h])
+                start += h
+            layers.append(tuple(cols))
+        return tuple(layers)
 
     @cached_property
     def _orders(self) -> dict[str, tuple[tuple[Point, ...], dict[Point, int]]]:
@@ -259,26 +293,58 @@ def from_generators(gens: Iterable[Sequence[int]]) -> Diagram:
     return Diagram(tuple(layers))
 
 
+def _point_set(points: Iterable[Sequence[int]]) -> Collection[Sequence[int]]:
+    """The points without repeats; a set or frozenset is taken as it is."""
+    pts = points if isinstance(points, (set, frozenset)) else {tuple(p) for p in points}
+    if not pts:
+        raise InvalidInput("empty point set")
+    return pts
+
+
+def _axis_values(pts: Collection[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The sorted distinct values of each axis.  Raises InvalidInput on a
+    bool or non-integer value; only the distinct values are inspected."""
+    axes = tuple(set(axis) for axis in zip(*pts))
+    for values in axes:
+        bad = next((v for v in values if not _is_int(v)), None)
+        if bad is not None:
+            raise InvalidInput(f"coordinate {bad!r} is not an integer")
+    return tuple(tuple(sorted(values)) for values in axes)
+
+
+def _column_heights(pts: Collection[Sequence[int]]) -> dict[tuple[int, int], int]:
+    """{(i, j): largest k} over the points, in one pass."""
+    heights: dict[tuple[int, int], int] = {}
+    for i, j, k in pts:
+        if heights.setdefault((i, j), k) < k:
+            heights[i, j] = k
+    return heights
+
+
+def _from_heights(heights: dict[tuple[int, int], int], size: int) -> Diagram:
+    """The diagram with the given column heights; it must hold exactly
+    ``size`` points, which fails unless the point set was downward closed."""
+    layers: dict[int, dict[int, int]] = {}
+    for (i, j), h in heights.items():
+        layers.setdefault(i, {})[j] = h
+    rows = []
+    for i in range(1, max(layers) + 1):
+        cols = layers.get(i)
+        if not cols or min(cols) < 1 or len(cols) != max(cols):
+            raise NotFerrers(f"layer {i} has missing columns")
+        rows.append(tuple(cols[j] for j in range(1, len(cols) + 1)))
+    diag = validate(rows)
+    if diag.size != size:
+        raise NotFerrers("point set is not downward closed")
+    return diag
+
+
 def from_points(points: Iterable[Sequence[int]]) -> Diagram:
     """Build a diagram from an exact point set; the set itself must already
     be downward closed and essential."""
-    pts = {Point(*p) for p in points}
-    if not pts:
-        raise InvalidInput("empty point set")
-    a = max(p.i for p in pts)
-    layers = []
-    for i in range(1, a + 1):
-        cols: dict[int, int] = {}
-        for p in pts:
-            if p.i == i:
-                cols[p.j] = max(cols.get(p.j, 0), p.k)
-        if not cols or set(cols) != set(range(1, max(cols) + 1)):
-            raise NotFerrers(f"layer {i} has missing columns")
-        layers.append(tuple(cols[j] for j in range(1, max(cols) + 1)))
-    diag = validate(layers)
-    if diag.size != len(pts):
-        raise NotFerrers("point set is not downward closed")
-    return diag
+    pts = _point_set(points)
+    _axis_values(pts)  # rejects non-integer coordinates
+    return _from_heights(_column_heights(pts), len(pts))
 
 
 def reduce_points(
@@ -288,20 +354,15 @@ def reduce_points(
 
     Returns the reduced diagram together with the sorted original values per
     axis; original value ``vals[axis][t-1]`` maps to coordinate ``t`` in the
-    reduced diagram.  Raises NotFerrers if the collapsed set is still not
-    downward closed.
+    reduced diagram.  The ranks are applied to the column heights, which
+    the one pass over the points yields, so no reduced point set is built.
+    Raises NotFerrers if the collapsed set is still not downward closed.
     """
-    pts = {Point(*p) for p in points}
-    if not pts:
-        raise InvalidInput("empty point set")
-    ivals = tuple(sorted({p.i for p in pts}))
-    jvals = tuple(sorted({p.j for p in pts}))
-    kvals = tuple(sorted({p.k for p in pts}))
-    imap = {v: t for t, v in enumerate(ivals, start=1)}
-    jmap = {v: t for t, v in enumerate(jvals, start=1)}
-    kmap = {v: t for t, v in enumerate(kvals, start=1)}
-    reduced = {Point(imap[p.i], jmap[p.j], kmap[p.k]) for p in pts}
-    return from_points(reduced), (ivals, jvals, kvals)
+    pts = _point_set(points)
+    values = _axis_values(pts)
+    imap, jmap, kmap = ({v: t for t, v in enumerate(axis, start=1)} for axis in values)
+    heights = {(imap[i], jmap[j]): kmap[h] for (i, j), h in _column_heights(pts).items()}
+    return _from_heights(heights, len(pts)), values
 
 
 def essential_reduce(obj: "Diagram | Iterable[Sequence[int]]") -> Diagram:
@@ -326,8 +387,9 @@ def alpha_beta_gamma(diagram: Diagram, u: Point) -> tuple[int, int, int]:
     u = Point(*u)
     if u not in diagram:
         raise NotInDiagram(f"{tuple(u)} is not in the diagram")
-    alpha = max(i for i in range(u.i, diagram.a + 1) if (i, u.j, u.k) in diagram)
-    beta = max(j for j in range(u.j, diagram.b + 1) if (u.i, j, u.k) in diagram)
+    # the diagram is downward closed, so each axis's reach is a count
+    alpha = sum(1 for layer in diagram.layers if len(layer) >= u.j and layer[u.j - 1] >= u.k)
+    beta = sum(1 for h in diagram.layers[u.i - 1] if h >= u.k)
     gamma = diagram.height(u.i, u.j)
     return alpha, beta, gamma
 
@@ -337,25 +399,21 @@ def zones(diagram: Diagram, u: Point) -> ZoneMap:
     by j <= j0 / j <= beta and k <= k0 / k <= gamma."""
     u = Point(*u)
     _, beta, gamma = alpha_beta_gamma(diagram, u)
-    buckets: tuple[set[Point], ...] = (set(), set(), set(), set(), set(), set())
-    for p in diagram.points():
-        if p.i < u.i:
-            continue
-        if p.j <= u.j:
-            if p.k > gamma:
-                buckets[0].add(p)
-            elif p.k > u.k:
-                buckets[1].add(p)
+    zs: tuple[list[Point], ...] = ([], [], [], [], [], [])
+    z1, z2, z3, z4, z5, z6 = zs
+    for cols in diagram._columns[u.i - 1:]:
+        for j, col in enumerate(cols, start=1):
+            # col[t] is the point at height k = t + 1
+            if j <= u.j:
+                z3 += col[:u.k]
+                z2 += col[u.k:gamma]
+                z1 += col[gamma:]
+            elif j <= beta:
+                z5 += col[:u.k]
+                z4 += col[u.k:]
             else:
-                buckets[2].add(p)
-        elif p.j <= beta:
-            if p.k > u.k:
-                buckets[3].add(p)
-            else:
-                buckets[4].add(p)
-        else:
-            buckets[5].add(p)
-    return ZoneMap(*(frozenset(bucket) for bucket in buckets))
+                z6 += col
+    return ZoneMap(*map(frozenset, zs))
 
 
 # ---------------------------------------------------------------------------

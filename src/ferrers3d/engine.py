@@ -24,11 +24,19 @@ the start's suffix of the first-layer order) and its normality verdict
 (cached on the ``SuffixState``).  The canonical key, the normality test,
 link construction, link validation and the literal graph link all read
 that one set.  Each ``Engine`` owns its memo; there is no process-wide one.
+
+Links and keys avoid rebuilding point sets.  The zone pieces a link needs
+are cut from column slices of the host's point tuple, and the link host
+comes from one pass of ``reduce_points``, which ranks the ambient set's
+column heights directly.  A memo key packs each rank triple of the
+realized set into one integer and keeps the sorted codes as the bytes of
+one array, a few bytes per point.
 """
 
 from __future__ import annotations
 
 import logging
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
@@ -44,7 +52,7 @@ from .diagram import (
     reduce_points,
     zones,
 )
-from .errors import InvalidInput, LinkMismatch, NotFerrers, NotNormal, UnsupportedDiagram
+from .errors import InvalidInput, LinkMismatch, NotFerrers, NotNormal, TooLarge, UnsupportedDiagram
 from .oracle import InvariantsReport, complex_summary
 
 log = logging.getLogger(__name__)
@@ -122,6 +130,12 @@ def _flip_state(s: SuffixState) -> SuffixState:
     return SuffixState(s.host.flip(), s.start.flip(), LEX)
 
 
+#: Per field width w, the narrowest unsigned array type with 3w bits.
+_KEY_TYPECODES = tuple(
+    next(code for code in "BHIQ" if 8 * array(code).itemsize >= 3 * w) for w in range(22)
+)
+
+
 def canonical_key(s: SuffixState):
     """Memoization key: the realized set with every axis collapsed to its
     rank, plus the relabeled start and the flavor.
@@ -129,19 +143,33 @@ def canonical_key(s: SuffixState):
     The recursion only ever consults the realized suffix (stage cutoffs,
     beta/gamma of the current start and all zone memberships are functions
     of it), so states sharing this key share their value.
+
+    A point with ranks (ri, rj, rk) is packed as the integer
+    ``(ri << 2w) | (rj << w) | rk``, where the field width ``w`` is the bit
+    length of the largest rank.  The key holds the sorted codes as the bytes
+    of one array of the narrowest fitting item size, so it grows by one to
+    eight bytes per point; ``w`` and the start, packed the same way, are part
+    of the key, which makes equal keys mean equal collapsed sets.
     """
     pts = s.realized
     if not pts:
-        return ((), "empty", s.flavor)
-    imap = {v: t for t, v in enumerate(sorted({p.i for p in pts}), start=1)}
-    jmap = {v: t for t, v in enumerate(sorted({p.j for p in pts}), start=1)}
-    kmap = {v: t for t, v in enumerate(sorted({p.k for p in pts}), start=1)}
-    rel = tuple(sorted((imap[p.i], jmap[p.j], kmap[p.k]) for p in pts))
+        return (0, "past", s.flavor, b"")
+    ivals, jvals, kvals = map(sorted, map(set, zip(*pts)))
+    n = max(len(ivals), len(jvals), len(kvals))
+    w = n.bit_length()
+    if w >= len(_KEY_TYPECODES):
+        raise TooLarge(f"a state key packs at most {2 ** (len(_KEY_TYPECODES) - 1) - 1} "
+                       f"values per axis, this state has {n}")
+    imap = {v: t << 2 * w for t, v in enumerate(ivals, start=1)}
+    jmap = {v: t << w for t, v in enumerate(jvals, start=1)}
+    kmap = {v: t for t, v in enumerate(kvals, start=1)}
+    codes = [imap[i] | jmap[j] | kmap[k] for i, j, k in pts]
+    codes.sort()
     if isinstance(s.start, _Sentinel):
         start = "past"
     else:
-        start = (imap[s.start.i], jmap[s.start.j], kmap[s.start.k])
-    return (rel, start, s.flavor)
+        start = imap[s.start.i] | jmap[s.start.j] | kmap[s.start.k]
+    return (w, start, s.flavor, array(_KEY_TYPECODES[w], codes).tobytes())
 
 
 class Engine:
@@ -262,27 +290,30 @@ class Engine:
 
         host, u = s.host, s.start
         zm = zones(host, u)
-        z1_deep = {p for p in zm.z1 if p.i >= 2}
-        z3_deep = {p for p in zm.z3 if p.i >= 2}
-        z5_top = {p for p in zm.z5 if p.i == 1}
-        z6_top = {p for p in zm.z6 if p.i == 1}
         gamma = host.height(1, u.j)
+        a, b, c = host.a, host.b, host.c
+
+        def cut(i0, i1, j0, j1, k0, k1) -> list[Point]:
+            return host.box_points((i0, j0, k0), (i1, j1, k1))
+
+        z1_deep = cut(2, a, 1, u.j, gamma + 1, c)
+        z3_deep = cut(2, a, 1, u.j, 1, u.k)
+        # zones 5 and 6 on layer 1 (columns past beta are lower than u.k)
+        side = cut(1, 1, u.j + 1, b, 1, u.k)
 
         if s.flavor == INDUCTION:
             c2 = host.layer_height(2)
-            cap = min(gamma, c2)
-            high_top = {p for p in host.layer_points(1) if p.j <= u.j and p.k > c2}
-            target = z1_deep | z3_deep | z5_top | z6_top | high_top
-            ambient = (set(zm.z3) | z5_top | z6_top
-                       | {p for p in host.points() if p.j <= u.j and p.k > cap})
+            high_top = cut(1, 1, 1, u.j, c2 + 1, c)
+            target = set(z1_deep + z3_deep + side + high_top)
+            ambient = zm.z3.union(side, cut(1, a, 1, u.j, min(gamma, c2) + 1, c))
             start = u
         else:
             b2 = host.layer_width(2)
             if u.j > b2:
-                target = z1_deep | z3_deep | z5_top | z6_top
-                side = z5_top | z6_top
+                target = set(z1_deep + z3_deep + side)
                 if side:
-                    ambient = {p for p in (zm.z1 | zm.z3) if p.j < u.j} | side
+                    left = cut(1, a, 1, u.j - 1, gamma + 1, c) + cut(1, a, 1, u.j - 1, 1, u.k)
+                    ambient = set(left + side)
                     start = Point(1, u.j + 1, 1)
                 else:
                     ambient, start = target, None
@@ -290,24 +321,24 @@ class Engine:
                 if z1_deep:
                     # no zone-formula construction applies; force the fallback
                     return SuffixState(host, u, s.flavor), False
-                target = z3_deep | z5_top | z6_top
-                side = z5_top | z6_top
-                ambient = set(zm.z3) | side
-                start = min(side) if side else PAST_LAYER_1
+                target = set(z3_deep + side)
+                ambient = zm.z3.union(side)
+                start = side[0] if side else PAST_LAYER_1
 
         link = _reduced_state(ambient, start, s.flavor)
         if link is None:
             return SuffixState(host, u, s.flavor), False
-        state, unmap = link
+        state, values = link
         if s.flavor == INDUCTION:
             state = _successor(state)  # the link starts right after u
-        ok = self._validate_link(s, state, unmap, target)
+        ok = self._validate_link(s, state, values, target)
         return state, ok
 
-    def _validate_link(self, s, link, unmap, target) -> bool:
+    def _validate_link(self, s, link, values, target) -> bool:
         if not has_projection_property(link.host):
             return False
-        back = {unmap(p) for p in link.realized}
+        ivals, jvals, kvals = values
+        back = {(ivals[i - 1], jvals[j - 1], kvals[k - 1]) for i, j, k in link.realized}
         if back != target:
             return False
         if s.host.size <= VALIDATE_LIMIT:
@@ -346,28 +377,25 @@ def _first_state(diagram: Diagram, flavor: str) -> SuffixState:
 
 def _reduced_state(ambient, start, flavor):
     """The suffix state over an ambient point set with its empty slices
-    collapsed, together with the map back to ambient coordinates.
+    collapsed, together with the sorted original values per axis, which map
+    reduced coordinates back to ambient ones.
 
     ``start`` is a first-layer point of the ambient, ``PAST_LAYER_1``, or
     None for the whole reduced diagram.  Returns None when the ambient does
     not collapse to a Ferrers diagram.
     """
     try:
-        red, (ivals, jvals, kvals) = reduce_points(ambient)
+        red, values = reduce_points(ambient)
     except (NotFerrers, InvalidInput):
         return None
-
-    def unmap(p: Point) -> Point:
-        return Point(ivals[p.i - 1], jvals[p.j - 1], kvals[p.k - 1])
-
     if start is None:
         state = _first_state(red, flavor)
     elif start is PAST_LAYER_1:
         state = SuffixState(red, PAST_LAYER_1, flavor)
     else:
-        fwd = Point(ivals.index(start.i) + 1, jvals.index(start.j) + 1, kvals.index(start.k) + 1)
+        fwd = Point(*(vals.index(v) + 1 for vals, v in zip(values, start)))
         state = SuffixState(red, fwd, flavor)
-    return state, unmap
+    return state, values
 
 
 def _literal_link(s: SuffixState) -> tuple[list[Point], set[frozenset[Point]]]:

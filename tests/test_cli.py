@@ -6,6 +6,7 @@ from ferrers3d import box, diagram_from_json
 from ferrers3d.cli import main
 from ferrers3d import engine
 from ferrers3d.engine import Engine
+from ferrers3d.errors import LinkMismatch
 from ferrers3d.oracle import InvariantsReport
 
 CLOSURE_JSON = '{"generators": [[1, 3, 2], [2, 2, 3]]}'
@@ -312,6 +313,25 @@ class TestInternalErrors:
         assert code == 3 and not out
         assert "engine bug" in err
         assert json.dumps({"layers": [[2, 2], [2, 2]]}) in err
+
+    @pytest.mark.parametrize("error", [RuntimeError("boom"), LinkMismatch("beyond the limit")])
+    def test_link_diagnostic_engine_error_exits_three(self, capsys, monkeypatch, error):
+        # compare reaches the link diagnostic with both reports in hand; the
+        # first link evaluated there fails
+        first, second = CLOSURE_JSON, json.dumps({"layers": [[3, 3, 3], [3, 3, 3]]})
+        reports = {}
+        for text in (first, second):
+            d = diagram_from_json(json.loads(text))
+            reports[d] = Engine().invariants(d)
+        monkeypatch.setattr(Engine, "invariants", lambda self, d, order="induction": reports[d])
+
+        def broken(self, s):
+            raise error
+        monkeypatch.setattr(Engine, "suffix_invariants", broken)
+        code, out, err = run(capsys, "compare", first, second)
+        assert code == 3 and not out
+        assert str(error) in err
+        assert json.dumps({"layers": [[3, 3, 2], [3, 3]]}) in err
 
     def test_link_mismatch_exits_three(self, capsys, monkeypatch):
         # every link fails validation and none is small enough to enumerate

@@ -74,6 +74,83 @@ def strong_projection_by_bounds(diagram):
     return True
 
 
+# Reference forms of construction and zones: the per-layer rescan and the
+# reduced Point set that the one-pass column-height builder replaced, and
+# the scan of every point that the column-slice zones replaced.
+
+
+def reference_from_points(points):
+    pts = {Point(*p) for p in points}
+    if not pts:
+        raise InvalidInput("empty point set")
+    layers = []
+    for i in range(1, max(p.i for p in pts) + 1):
+        cols = {}
+        for p in pts:
+            if p.i == i:
+                cols[p.j] = max(cols.get(p.j, 0), p.k)
+        if not cols or set(cols) != set(range(1, max(cols) + 1)):
+            raise NotFerrers(f"layer {i} has missing columns")
+        layers.append(tuple(cols[j] for j in range(1, max(cols) + 1)))
+    diag = validate(layers)
+    if diag.size != len(pts):
+        raise NotFerrers("point set is not downward closed")
+    return diag
+
+
+def reference_reduce_points(points):
+    pts = {Point(*p) for p in points}
+    if not pts:
+        raise InvalidInput("empty point set")
+    vals = tuple(tuple(sorted({p[axis] for p in pts})) for axis in range(3))
+    maps = [{v: t for t, v in enumerate(axis, start=1)} for axis in vals]
+    reduced = {Point(*(m[v] for m, v in zip(maps, p))) for p in pts}
+    return reference_from_points(reduced), vals
+
+
+def reference_zones(diagram, u):
+    _, beta, gamma = alpha_beta_gamma(diagram, u)
+    buckets = tuple(set() for _ in range(6))
+    for p in diagram.points():
+        if p.i < u.i:
+            continue
+        if p.j <= u.j:
+            zone = 1 if p.k > gamma else 2 if p.k > u.k else 3
+        elif p.j <= beta:
+            zone = 4 if p.k > u.k else 5
+        else:
+            zone = 6
+        buckets[zone - 1].add(p)
+    return buckets
+
+
+def outcome(fn, pts):
+    """The function's result, or the type of the exception it raised."""
+    try:
+        return fn(pts)
+    except Exception as exc:  # compared by type only
+        return type(exc)
+
+
+@st.composite
+def point_sets(draw):
+    """Closed sets (a diagram's points), the same with gaps (every axis
+    stretched by an increasing map), arbitrary sets that are not closed, and
+    sets with zero coordinates."""
+    kind = draw(st.sampled_from(["closed", "gaps", "any", "zeros"]))
+    if kind in ("closed", "gaps"):
+        gens = draw(st.lists(st.tuples(*[st.integers(1, 4)] * 3), min_size=1, max_size=4))
+        pts = set(from_generators(gens).points())
+        if kind == "gaps":
+            stretch = [sorted(draw(st.sets(st.integers(1, 12), min_size=4, max_size=4)))
+                       for _ in range(3)]
+            pts = {tuple(m[v - 1] for m, v in zip(stretch, p)) for p in pts}
+        return pts
+    low = 0 if kind == "zeros" else 1
+    coord = st.integers(low, 4)
+    return draw(st.sets(st.tuples(coord, coord, coord), max_size=10))
+
+
 class TestConstruction:
     def test_from_generators_single_point(self):
         assert from_generators([(1, 1, 1)]).layers == ((1,),)
@@ -150,6 +227,28 @@ class TestReduction:
         with pytest.raises(InvalidInput):
             essential_reduce([])
 
+    @settings(max_examples=400, deadline=None)
+    @given(point_sets())
+    def test_from_points_equals_reference(self, pts):
+        assert outcome(from_points, pts) == outcome(reference_from_points, pts)
+
+    @settings(max_examples=400, deadline=None)
+    @given(point_sets())
+    def test_reduce_points_equals_reference(self, pts):
+        assert outcome(reduce_points, pts) == outcome(reference_reduce_points, pts)
+
+    @pytest.mark.parametrize("build, pts", [
+        (from_points, [(True, 1, 1)]),
+        (from_points, [(1.0, 1, 1)]),
+        (from_points, [(1, 1, "1")]),
+        (reduce_points, [(1, 1, 1.5)]),
+        (reduce_points, [(2, False, 1)]),
+        (essential_reduce, [(1, 1, 1), (1, 2, True)]),
+    ])
+    def test_non_integer_coordinates_rejected(self, build, pts):
+        with pytest.raises(InvalidInput):
+            build(pts)
+
 
 class TestDimsAndFlip:
     def test_dims(self):
@@ -205,6 +304,19 @@ class TestStatisticsAndZones:
         zm = zones(CLOSURE, Point(1, 3, 1))
         assert zm.z6 == frozenset()
         assert not any(p.i >= 2 for p in zm.z5)
+
+    def test_zones_equal_reference(self):
+        for d in all_diagrams_3():
+            for u in d.points():
+                zm = zones(d, u)
+                assert tuple(zm.zone(n) for n in range(1, 7)) == reference_zones(d, u)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(all_diagrams_3()),
+           st.tuples(*[st.integers(-1, 4)] * 3), st.tuples(*[st.integers(-1, 4)] * 3))
+    def test_box_points_is_the_filtered_point_tuple(self, d, lo, hi):
+        expected = [p for p in d.points() if all(a <= x <= b for a, x, b in zip(lo, p, hi))]
+        assert d.box_points(lo, hi) == expected
 
     def test_zones_partition_everything(self):
         for d in all_diagrams_3():

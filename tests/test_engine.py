@@ -140,7 +140,40 @@ class TestLinkState:
         assert eng.stats["link_checks"] > 0
 
 
+def reference_key(s):
+    """The memo key before packing: the sorted tuple of rank triples of the
+    realized set, the relabeled start and the flavor."""
+    pts = s.realized
+    if not pts:
+        return ((), "empty", s.flavor)
+    ranks = [{v: t for t, v in enumerate(sorted({p[axis] for p in pts}), start=1)}
+             for axis in range(3)]
+    rel = tuple(sorted(tuple(m[v] for m, v in zip(ranks, p)) for p in pts))
+    start = "past" if s.start is PAST_LAYER_1 else tuple(m[v] for m, v in zip(ranks, s.start))
+    return (rel, start, s.flavor)
+
+
 class TestCanonicalKey:
+    def test_same_classes_as_the_reference(self):
+        # every suffix state of every [3]^3 PP diagram, both flavors
+        states = [
+            SuffixState(d, start, flavor)
+            for d in enumerate_diagrams(3, 3, 3) if has_projection_property(d)
+            for flavor in (INDUCTION, LEX)
+            for start in d.layer_points(1) + (PAST_LAYER_1,)
+        ]
+        pairs = {(canonical_key(s), reference_key(s)) for s in states}
+        assert len(pairs) == len({k for k, _ in pairs}) == len({r for _, r in pairs})
+        assert len(pairs) < len(states)  # some states do share a key
+
+    def test_key_is_linear_in_the_realized_set(self):
+        # a tripod with 300-point arms: 4-byte codes, not a 300^3 bitmask
+        tripod = validate([[300] + [1] * 299] + [[1]] * 299)
+        s = SuffixState(tripod, PAST_LAYER_1, INDUCTION)
+        w, start, flavor, codes = canonical_key(s)
+        assert (w, start, flavor) == (9, "past", INDUCTION)
+        assert len(codes) == 4 * len(s.realized) == 4 * 299
+
     def test_equal_states(self):
         s1 = SuffixState(box(2, 2, 2), Point(1, 1, 2), INDUCTION)
         s2 = SuffixState(box(2, 2, 2), Point(1, 1, 2), INDUCTION)
