@@ -20,7 +20,8 @@ cut from the cached point tuple one column slice at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain, repeat
 from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidInput, NotFerrers, NotInDiagram
@@ -137,12 +138,14 @@ class Diagram:
 
     @cached_property
     def _points(self) -> tuple[Point, ...]:
-        return tuple(
-            Point(i, j, k)
+        # one column at a time; tuple.__new__ makes each Point without a
+        # Python-level call
+        make = partial(tuple.__new__, Point)
+        return tuple(chain.from_iterable(
+            map(make, zip(repeat(i, h), repeat(j, h), range(1, h + 1)))
             for i, layer in enumerate(self.layers, start=1)
             for j, h in enumerate(layer, start=1)
-            for k in range(1, h + 1)
-        )
+        ))
 
     @cached_property
     def _layer_starts(self) -> tuple[int, ...]:
@@ -306,8 +309,8 @@ def _axis_values(pts: Collection[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     bool or non-integer value; only the distinct values are inspected."""
     axes = tuple(set(axis) for axis in zip(*pts))
     for values in axes:
-        bad = next((v for v in values if not _is_int(v)), None)
-        if bad is not None:
+        if not all(map(_is_int, values)):
+            bad = next(v for v in values if not _is_int(v))
             raise InvalidInput(f"coordinate {bad!r} is not an integer")
     return tuple(tuple(sorted(values)) for values in axes)
 
@@ -324,15 +327,16 @@ def _column_heights(pts: Collection[Sequence[int]]) -> dict[tuple[int, int], int
 def _from_heights(heights: dict[tuple[int, int], int], size: int) -> Diagram:
     """The diagram with the given column heights; it must hold exactly
     ``size`` points, which fails unless the point set was downward closed."""
-    layers: dict[int, dict[int, int]] = {}
-    for (i, j), h in heights.items():
-        layers.setdefault(i, {})[j] = h
-    rows = []
-    for i in range(1, max(layers) + 1):
-        cols = layers.get(i)
-        if not cols or min(cols) < 1 or len(cols) != max(cols):
-            raise NotFerrers(f"layer {i} has missing columns")
-        rows.append(tuple(cols[j] for j in range(1, len(cols) + 1)))
+    rows: list[list[int]] = []
+    for (i, j), h in sorted(heights.items()):
+        if i < 1:
+            continue  # no layer holds it, so the size check fails
+        if i == len(rows) + 1 and j == 1:
+            rows.append([h])
+        elif i == len(rows) and j == len(rows[-1]) + 1:
+            rows[-1].append(h)
+        else:
+            raise NotFerrers(f"layer {min(i, len(rows) + 1)} has missing columns")
     diag = validate(rows)
     if diag.size != size:
         raise NotFerrers("point set is not downward closed")
@@ -360,7 +364,7 @@ def reduce_points(
     """
     pts = _point_set(points)
     values = _axis_values(pts)
-    imap, jmap, kmap = ({v: t for t, v in enumerate(axis, start=1)} for axis in values)
+    imap, jmap, kmap = (dict(zip(axis, range(1, len(axis) + 1))) for axis in values)
     heights = {(imap[i], jmap[j]): kmap[h] for (i, j), h in _column_heights(pts).items()}
     return _from_heights(heights, len(pts)), values
 

@@ -160,9 +160,11 @@ def canonical_key(s: SuffixState):
     if w >= len(_KEY_TYPECODES):
         raise TooLarge(f"a state key packs at most {2 ** (len(_KEY_TYPECODES) - 1) - 1} "
                        f"values per axis, this state has {n}")
-    imap = {v: t << 2 * w for t, v in enumerate(ivals, start=1)}
-    jmap = {v: t << w for t, v in enumerate(jvals, start=1)}
-    kmap = {v: t for t, v in enumerate(kvals, start=1)}
+    # each value's rank, already shifted into its field
+    imap, jmap, kmap = (
+        dict(zip(values, range(1 << shift, (len(values) + 1) << shift, 1 << shift)))
+        for values, shift in ((ivals, 2 * w), (jvals, w), (kvals, 0))
+    )
     codes = [imap[i] | jmap[j] | kmap[k] for i, j, k in pts]
     codes.sort()
     if isinstance(s.start, _Sentinel):
