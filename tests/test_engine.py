@@ -25,7 +25,8 @@ from ferrers3d.engine import (
     canonical_key,
     realized_set,
 )
-from ferrers3d.errors import InvalidInput, NotNormal, UnsupportedDiagram
+from ferrers3d import engine as engine_module
+from ferrers3d.errors import InvalidInput, NotNormal, TooLarge, UnsupportedDiagram
 from ferrers3d.families import enumerate_diagrams, sample_diagrams
 from ferrers3d.minors import classify_point
 from ferrers3d.oracle import complex_summary
@@ -173,6 +174,14 @@ class TestCanonicalKey:
         w, start, flavor, codes = canonical_key(s)
         assert (w, start, flavor) == (9, "past", INDUCTION)
         assert len(codes) == 4 * len(s.realized) == 4 * 299
+
+    def test_codes_wider_than_the_widest_array_type_are_refused(self, monkeypatch):
+        # with the table cut at w = 1, a state with 2 values on an axis
+        # (w = 2) stands for one with 2**21 values
+        monkeypatch.setattr(engine_module, "_KEY_TYPECODES", engine_module._KEY_TYPECODES[:2])
+        assert canonical_key(SuffixState(box(1, 1, 1), Point(1, 1, 1), INDUCTION))
+        with pytest.raises(TooLarge):
+            canonical_key(SuffixState(box(1, 1, 2), Point(1, 1, 1), INDUCTION))
 
     def test_equal_states(self):
         s1 = SuffixState(box(2, 2, 2), Point(1, 1, 2), INDUCTION)
