@@ -3,9 +3,9 @@
 Every subcommand reads diagrams as JSON (inline or @file), writes one JSON
 document to stdout (CSV in sweep mode on request) and signals through the
 exit code: 0 ok, 2 input error (including a number out of range), 3
-cross-check disagreement or internal engine error (the message carries the
-diagram as a reproduction), 4 unsupported input, size limit, or links nested
-too deeply for the engine's recursion.
+cross-check disagreement or internal engine or oracle error (the message
+carries the diagram as a reproduction), 4 unsupported input, size limit,
+or links nested too deeply for the engine's recursion.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 
 from . import closed_forms, families, minors, oracle
 from .diagram import (
@@ -60,22 +61,11 @@ def _load_diagram(text: str) -> Diagram:
         raise _CliFailure(EXIT_INPUT, str(exc)) from exc
 
 
-def _report_json(report: oracle.InvariantsReport) -> dict:
-    return {
-        "ring_dim": report.ring_dim,
-        "reg": report.reg,
-        "mult": report.mult,
-        "red_num": report.red_num,
-        "source": report.source,
-        "grobner_guarantee": report.grobner_guarantee,
-    }
-
-
 @contextmanager
-def _engine_errors(diagram: Diagram):
-    """An internal engine error, including a link that failed validation
-    beyond the fallback limit, exits 3 and names the diagram as its
-    reproduction."""
+def _internal_errors(diagram: Diagram, source: str = "engine"):
+    """An internal error of the engine or an oracle, including a link that
+    failed validation beyond the fallback limit, exits 3 and names the
+    diagram as its reproduction."""
     try:
         yield
     except RecursionError:  # a RuntimeError too, but it exits 4 in main()
@@ -83,13 +73,46 @@ def _engine_errors(diagram: Diagram):
     except (RuntimeError, LinkMismatch) as exc:
         raise _CliFailure(
             EXIT_DISAGREE,
-            f"internal engine error: {exc}; reproduction: {json.dumps(diagram_to_json(diagram))}",
+            f"internal {source} error: {exc}; reproduction: {json.dumps(diagram_to_json(diagram))}",
         ) from exc
 
 
 def _engine_invariants(engine: Engine, diagram: Diagram, order: str = "induction"):
-    with _engine_errors(diagram):
+    with _internal_errors(diagram):
         return engine.invariants(diagram, order=order)
+
+
+def _oracle_check(diagram: Diagram, route: str, limit: int):
+    """The report of the facet (route "oracle") or Hilbert ("hilbert")
+    oracle and None, or None and the reason the oracle refused."""
+    with _internal_errors(diagram, "oracle"):
+        try:
+            if route == "hilbert":
+                return oracle.hilbert_invariants(diagram), None
+            return oracle.oracle_invariants(diagram, limit=limit), None
+        except (TooLarge, InsufficientDegree) as exc:
+            return None, str(exc)
+
+
+def _agrees(report: oracle.InvariantsReport, check: oracle.InvariantsReport | None) -> bool | None:
+    """Whether an oracle's check gives the report's (ring_dim, reg, mult);
+    None when the oracle refused."""
+    if check is None:
+        return None
+    return (check.ring_dim, check.reg, check.mult) == (report.ring_dim, report.reg, report.mult)
+
+
+def _box_diagrams(box, limit: int, hint: str = "", sample: int | None = None, seed: int = 0):
+    """A seeded sample of the diagrams inside the box, or all of them; a
+    box holding more than ``limit`` exits 4 unless sampled."""
+    a, b, c = box
+    if sample is not None:
+        return families.sample_diagrams(a, b, c, sample, seed=seed)
+    total = families.count_diagrams(a, b, c)
+    if total > limit:
+        message = f"the box holds {total} diagrams, above the limit {limit}{hint}"
+        raise _CliFailure(EXIT_UNSUPPORTED, message)
+    return families.enumerate_diagrams(a, b, c)
 
 
 def _emit(obj: object) -> None:
@@ -157,7 +180,7 @@ def _cmd_invariants(args) -> int:
     engine_report = None
     if pp:
         engine_report = _engine_invariants(engine, diagram, args.order)
-        report["engine"] = _report_json(engine_report)
+        report["engine"] = asdict(engine_report)
     elif not args.oracle and not args.hilbert:
         raise _CliFailure(
             EXIT_UNSUPPORTED,
@@ -165,42 +188,28 @@ def _cmd_invariants(args) -> int:
         )
 
     checks = []
-    if args.oracle:
-        try:
-            facet_report = oracle.oracle_invariants(diagram, limit=args.limit)
-            report["oracle"] = _report_json(facet_report)
-            checks.append(facet_report)
-        except TooLarge as exc:
-            report["oracle"] = {"skipped": str(exc)}
-    if args.hilbert:
-        try:
-            hilbert_report = oracle.hilbert_invariants(diagram)
-            report["hilbert"] = _report_json(hilbert_report)
-            checks.append(hilbert_report)
-        except (TooLarge, InsufficientDegree) as exc:
-            report["hilbert"] = {"skipped": str(exc)}
+    for route in ("oracle", "hilbert"):
+        if getattr(args, route):
+            check, refusal = _oracle_check(diagram, route, args.limit)
+            if check is None:
+                report[route] = {"skipped": refusal}
+            else:
+                report[route] = asdict(check)
+                checks.append(check)
     if args.bounds:
         report["bounds"] = _bounds_json(diagram)
 
     status = "skipped"
-    disagreement = None
     if engine_report is not None and checks:
-        status = "agree"
-        for other in checks:
-            if (other.ring_dim, other.reg, other.mult) != (
-                engine_report.ring_dim,
-                engine_report.reg,
-                engine_report.mult,
-            ):
-                status = "disagree"
-                disagreement = {
-                    "reproduction": diagram_to_json(diagram),
-                    "engine": _report_json(engine_report),
-                    "other": _report_json(other),
-                }
+        wrong = [check for check in checks if not _agrees(engine_report, check)]
+        status = "disagree" if wrong else "agree"
+        if wrong:
+            report["disagreement"] = {
+                "reproduction": diagram_to_json(diagram),
+                "engine": asdict(engine_report),
+                "other": asdict(wrong[-1]),
+            }
     report["cross_check"] = status
-    if disagreement:
-        report["disagreement"] = disagreement
     report["elapsed_seconds"] = round(time.monotonic() - started, 6)
     _emit(report)
     return EXIT_DISAGREE if status == "disagree" else EXIT_OK
@@ -258,7 +267,7 @@ def _link_diagnostic(d1: Diagram, d2: Diagram, engine: Engine) -> list[dict]:
             continue
         values = []
         for s in states:
-            with _engine_errors(s.host):
+            with _internal_errors(s.host):
                 link, ok = engine.link_state(s)
                 if not ok:
                     values = []
@@ -286,13 +295,14 @@ def _cmd_compare(args) -> int:
         if has_projection_property(diagram):
             reports.append(_engine_invariants(engine, diagram))
         else:
-            reports.append(oracle.oracle_invariants(diagram))
+            with _internal_errors(diagram, "oracle"):
+                reports.append(oracle.oracle_invariants(diagram))
     spp = has_strong_projection_property(d1) and has_strong_projection_property(d2)
     monotone_reg = reports[0].reg <= reports[1].reg
     monotone_mult = reports[0].mult <= reports[1].mult
     out = {
-        "first": _report_json(reports[0]),
-        "second": _report_json(reports[1]),
+        "first": asdict(reports[0]),
+        "second": asdict(reports[1]),
         "hypothesis_strong_projection": spp,
         "monotone_reg": monotone_reg,
         "monotone_mult": monotone_mult,
@@ -317,55 +327,23 @@ def _sweep_row(diagram: Diagram, engine: Engine, use_oracle: bool, facet_limit: 
         "pp": pp,
         "spp": has_strong_projection_property(diagram),
     }
-    report = None
-    if pp:
-        report = _engine_invariants(engine, diagram)
-    elif use_oracle:
-        try:
-            report = oracle.oracle_invariants(diagram, limit=facet_limit)
-        except TooLarge:
-            report = None
+    report = _engine_invariants(engine, diagram) if pp else None
+    check = _oracle_check(diagram, "oracle", facet_limit)[0] if use_oracle else None
+    if pp and use_oracle:
+        row["oracle_agree"] = _agrees(report, check)
+    report = report or check
     if report is None:
         row.update({"ring_dim": None, "reg": None, "mult": None, "source": "skipped"})
-        return row
-    row.update(
-        {
-            "ring_dim": report.ring_dim,
-            "reg": report.reg,
-            "mult": report.mult,
-            "source": report.source,
-        }
-    )
-    if pp and use_oracle:
-        try:
-            check = oracle.oracle_invariants(diagram, limit=facet_limit)
-            row["oracle_agree"] = (check.ring_dim, check.reg, check.mult) == (
-                report.ring_dim,
-                report.reg,
-                report.mult,
-            )
-        except TooLarge:
-            row["oracle_agree"] = None
+    else:
+        row.update({key: getattr(report, key) for key in ("ring_dim", "reg", "mult", "source")})
     return row
 
 
 def _cmd_sweep(args) -> int:
-    a, b, c = args.box
-    total = families.count_diagrams(a, b, c)
-    if args.sample is None and total > args.limit:
-        raise _CliFailure(
-            EXIT_UNSUPPORTED,
-            f"the box holds {total} diagrams, above the limit {args.limit}; "
-            "raise --limit or use --sample",
-        )
-    if args.sample is not None:
-        diagrams = families.sample_diagrams(a, b, c, args.sample, seed=args.seed)
-    else:
-        diagrams = list(families.enumerate_diagrams(a, b, c))
-    if args.filter == "pp":
-        diagrams = [d for d in diagrams if has_projection_property(d)]
-    elif args.filter == "spp":
-        diagrams = [d for d in diagrams if has_strong_projection_property(d)]
+    keep = {"pp": has_projection_property, "spp": has_strong_projection_property}.get(args.filter)
+    diagrams = _box_diagrams(args.box, args.limit, "; raise --limit or use --sample",
+                             args.sample, args.seed)
+    diagrams = [d for d in diagrams if keep is None or keep(d)]
 
     engine = Engine(cache_cap=args.cache_cap)
     rows = [_sweep_row(d, engine, args.oracle, args.facet_limit) for d in diagrams]
@@ -377,7 +355,7 @@ def _cmd_sweep(args) -> int:
         ]
         violations = []
         checked = 0
-        for t, (small, small_row) in enumerate(eligible):
+        for small, small_row in eligible:
             for big, big_row in eligible:
                 if small is big or not small.issubset(big):
                     continue
@@ -406,21 +384,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    a, b, c = args.box
-    total = families.count_diagrams(a, b, c)
-    if total > args.limit:
-        raise _CliFailure(
-            EXIT_UNSUPPORTED,
-            f"the box holds {total} diagrams, above the limit {args.limit}",
-        )
+    diagrams = [d for d in _box_diagrams(args.box, args.limit) if has_projection_property(d)]
     engine = Engine(cache_cap=args.cache_cap)
-    checked = 0
     candidates = []
     disagree = False
-    for diagram in families.enumerate_diagrams(a, b, c):
-        if not has_projection_property(diagram):
-            continue
-        checked += 1
+    for diagram in diagrams:
         report = _engine_invariants(engine, diagram)
         bound = closed_forms.rect_multiplicity(diagram.a, diagram.b, diagram.c)
         if report.mult > bound:
@@ -429,23 +397,14 @@ def _cmd_search(args) -> int:
                 "mult": report.mult,
                 "box_mult": bound,
             }
-            try:
-                check = oracle.oracle_invariants(diagram, limit=args.facet_limit)
-                entry["oracle_mult"] = check.mult
-                if check.mult != report.mult:
-                    disagree = True
-            except TooLarge:
-                entry["oracle_mult"] = None
-            try:
-                entry["hilbert_mult"] = oracle.hilbert_invariants(diagram).mult
-                if entry["hilbert_mult"] != report.mult:
-                    disagree = True
-            except (TooLarge, InsufficientDegree):
-                entry["hilbert_mult"] = None
+            for route in ("oracle", "hilbert"):
+                check = _oracle_check(diagram, route, args.facet_limit)[0]
+                entry[f"{route}_mult"] = None if check is None else check.mult
+                disagree |= _agrees(report, check) is False
             candidates.append(entry)
     _emit(
         {
-            "diagrams_checked": checked,
+            "diagrams_checked": len(diagrams),
             "counterexamples": candidates,
             "summary": "no counterexample found" if not candidates else "candidates found",
         }

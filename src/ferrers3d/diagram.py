@@ -306,8 +306,14 @@ def _point_set(points: Iterable[Sequence[int]]) -> Collection[Sequence[int]]:
 
 def _axis_values(pts: Collection[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """The sorted distinct values of each axis.  Raises InvalidInput on a
-    bool or non-integer value; only the distinct values are inspected."""
-    axes = tuple(set(axis) for axis in zip(*pts))
+    point that is not a triple, and on a bool or non-integer value; only
+    the distinct values are inspected."""
+    try:
+        axes = tuple(set(axis) for axis in zip(*pts, strict=True))
+    except ValueError:  # points of different lengths
+        axes = ()
+    if len(axes) != 3:
+        raise InvalidInput("every point must have exactly three coordinates")
     for values in axes:
         if not all(map(_is_int, values)):
             bad = next(v for v in values if not _is_int(v))

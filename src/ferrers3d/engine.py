@@ -365,8 +365,7 @@ class Engine:
                 f"beyond the fallback limit {FALLBACK_LIMIT}"
             )
         summary = complex_summary(rest, edges, limit=FALLBACK_LIMIT)
-        reg = max((t for t, h in enumerate(summary.h_vector) if h != 0), default=0)
-        return reg, summary.f_vector[-1]
+        return summary.reg, summary.f_vector[-1]
 
 
 def _first_state(diagram: Diagram, flavor: str) -> SuffixState:

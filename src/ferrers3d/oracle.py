@@ -44,6 +44,12 @@ class ComplexSummary:
     h_vector: tuple[int, ...]
     complex_dim: int
 
+    @property
+    def reg(self) -> int:
+        """Degree of the h-vector: the regularity of the face ring when the
+        complex is Cohen-Macaulay."""
+        return max((t for t, h in enumerate(self.h_vector) if h != 0), default=0)
+
 
 @dataclass(frozen=True)
 class HilbertTable:
@@ -102,12 +108,11 @@ def oracle_invariants(diagram: Diagram, limit: int = DEFAULT_FACET_LIMIT) -> Inv
     summary = complex_summary(diagram.points(), limit=limit)
     if guaranteed and not summary.pure:
         raise RuntimeError("impure complex on a projection-property diagram")
-    reg = max((t for t, h in enumerate(summary.h_vector) if h != 0), default=0)
     return InvariantsReport(
         ring_dim=summary.complex_dim + 1,
-        reg=reg,
+        reg=summary.reg,
         mult=summary.f_vector[-1],
-        red_num=reg,
+        red_num=summary.reg,
         source="oracle-facets",
         grobner_guarantee=guaranteed,
     )

@@ -1,16 +1,20 @@
+import hashlib
 import json
+import re
 
 import pytest
 
-from ferrers3d import box, diagram_from_json
+from ferrers3d import box, diagram_from_json, diagram_to_json
 from ferrers3d.cli import main
-from ferrers3d import engine
+from ferrers3d import closed_forms, engine, oracle
 from ferrers3d.engine import Engine
 from ferrers3d.errors import LinkMismatch
 from ferrers3d.oracle import InvariantsReport
 
 CLOSURE_JSON = '{"generators": [[1, 3, 2], [2, 2, 3]]}'
 BOX222 = '{"layers": [[2, 2], [2, 2]]}'
+NON_PP = '{"generators": [[1, 1, 3], [2, 3, 1], [3, 2, 2]]}'
+WRONG = InvariantsReport(ring_dim=4, reg=1, mult=5, red_num=1, source="engine")
 
 
 def run(capsys, *argv):
@@ -118,8 +122,7 @@ class TestInvariants:
         assert data["cross_check"] == "agree"
 
     def test_disagreement_exits_three(self, capsys, monkeypatch):
-        wrong = InvariantsReport(ring_dim=4, reg=1, mult=5, red_num=1, source="engine")
-        monkeypatch.setattr(Engine, "invariants", lambda self, d, order="induction": wrong)
+        monkeypatch.setattr(Engine, "invariants", lambda self, d, order="induction": WRONG)
         code, out, _ = run(capsys, "invariants", BOX222, "--oracle")
         assert code == 3
         assert json.loads(out)["cross_check"] == "disagree"
@@ -217,6 +220,14 @@ class TestSweep:
         _, out2, _ = run(capsys, "sweep", "--box", "3", "3", "3", "--sample", "5", "--seed", "9")
         assert out1 == out2
 
+    def test_oracle_disagreement_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(Engine, "invariants", lambda self, d, order="induction": WRONG)
+        code, out, _ = run(capsys, "sweep", "--box", "2", "2", "2", "--filter", "pp", "--oracle")
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert code == 3
+        assert rows and all(row["mult"] == WRONG.mult for row in rows)
+        assert any(row["oracle_agree"] is False for row in rows)
+
 
 class TestSearch:
     def test_small_box(self, capsys):
@@ -225,6 +236,26 @@ class TestSearch:
         assert code == 0
         assert data["diagrams_checked"] > 0
         assert isinstance(data["counterexamples"], list)
+
+    def test_candidates_are_cross_checked(self, capsys, monkeypatch):
+        # a box bound of 0 makes every PP diagram a candidate
+        monkeypatch.setattr(closed_forms, "rect_multiplicity", lambda a, b, c: 0)
+        code, out, _ = run(capsys, "search", "--box", "2", "2", "2")
+        data = json.loads(out)
+        assert code == 0
+        assert len(data["counterexamples"]) == data["diagrams_checked"] > 0
+        for entry in data["counterexamples"]:
+            assert entry["box_mult"] == 0
+            assert entry["oracle_mult"] in (entry["mult"], None)
+            assert entry["hilbert_mult"] in (entry["mult"], None)
+        assert any(entry["hilbert_mult"] is not None for entry in data["counterexamples"])
+
+    def test_candidate_disagreement_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(closed_forms, "rect_multiplicity", lambda a, b, c: 0)
+        monkeypatch.setattr(Engine, "invariants", lambda self, d, order="induction": WRONG)
+        code, out, _ = run(capsys, "search", "--box", "2", "2", "2")
+        assert code == 3
+        assert json.loads(out)["summary"] == "candidates found"
 
 
 class TestGBCheck:
@@ -333,6 +364,25 @@ class TestInternalErrors:
         assert str(error) in err
         assert json.dumps({"layers": [[3, 3, 2], [3, 3]]}) in err
 
+    @pytest.mark.parametrize("name, argv, reproduction", [
+        ("oracle_invariants", ("invariants", BOX222, "--oracle"), BOX222),
+        ("hilbert_invariants", ("invariants", BOX222, "--hilbert"), BOX222),
+        ("oracle_invariants", ("invariants", NON_PP, "--oracle"), NON_PP),
+        ("oracle_invariants", ("sweep", "--box", "2", "2", "2", "--oracle"), None),
+        ("oracle_invariants", ("compare", '{"layers": [[1]]}', NON_PP), NON_PP),
+    ], ids=["invariants-oracle", "invariants-hilbert", "invariants-non-pp", "sweep-oracle",
+            "compare"])
+    def test_oracle_error_exits_three(self, capsys, monkeypatch, name, argv, reproduction):
+        def broken(*args, **kwargs):
+            raise RuntimeError("impure complex on a projection-property diagram")
+        monkeypatch.setattr(oracle, name, broken)
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and not out
+        assert "internal oracle error: impure complex" in err and "reproduction: {" in err
+        if reproduction is not None:
+            canonical = diagram_from_json(json.loads(reproduction))
+            assert json.dumps(diagram_to_json(canonical)) in err
+
     def test_link_mismatch_exits_three(self, capsys, monkeypatch):
         # every link fails validation and none is small enough to enumerate
         monkeypatch.setattr(Engine, "_validate_link", lambda self, *args: False)
@@ -341,3 +391,44 @@ class TestInternalErrors:
         assert code == 3 and not out
         assert "fallback limit" in err
         assert json.dumps({"layers": [[3, 3, 3]] * 3}) in err
+
+
+class TestGolden:
+    """The README examples and two small cross-checks, pinned by the sha256
+    of stdout (``elapsed_seconds`` removed) and the exit code."""
+
+    CASES = {
+        "check": (("check", '{"generators": [[1,3,2],[2,2,3]]}', "--zones", "1", "3", "1"),
+                  "5cc1c09e76942ffd7411770c6d57419b23fa4a97a341a9e12d7890865b94a959"),
+        "invariants": (("invariants", '{"layers": [[2,2],[2,2]]}', "--oracle", "--hilbert",
+                        "--bounds"),
+                       "521cfc6463c870ef856a87ec9068c702dbf7c56528f51d32125d7e4cd1930039"),
+        "gens": (("gens", '{"layers": [[1,1],[1,1]]}'),
+                 "67718ae349a04c59298ec41dd4f3e0dc0aff9db740abc96efe9ebaa141b3f0d4"),
+        "oracle": (("oracle", '{"layers": [[2,2],[2,2]]}', "--hilbert-degree", "6"),
+                   "2414c3101f516736517684e6df734eff3db761ccaa84cc36bb271ea0e061a115"),
+        "compare": (("compare", '{"generators": [[1,3,2],[2,2,3]]}',
+                     '{"layers": [[3,3,3],[3,3,3]]}'),
+                    "1fdf2848bf34e72520ad6986fb84f314103603261f53e47028fd5c7450e98d0e"),
+        "sweep-csv": (("sweep", "--box", "3", "3", "3", "--filter", "pp", "--oracle",
+                       "--format", "csv"),
+                      "656cd4d8f75c263ef11f1a2f199319c7c7ddbcbf24ff8e0af40b44a213e45295"),
+        "sweep-pairs": (("sweep", "--box", "3", "3", "3", "--filter", "spp", "--pairs"),
+                        "b6a18e0ed30b392f0e90e59b80ee29db94c82fe57de24f9d8a8fe5c01610bb21"),
+        "search": (("search", "--box", "3", "3", "3"),
+                   "50ee72e3e9e1bcacb2c9fe561ed5be30d42f9f7cac55b8fe3c7dafc95b90d36e"),
+        "gb-check": (("gb-check", '{"generators": [[1,2,3],[2,3,2],[3,4,1],[4,1,2],[2,1,3],'
+                      '[3,2,2],[4,3,1],[1,4,2]]}'),
+                     "33bdeb4cf4f4d2ce845a3c58a93acf60a22f0581cc9844d826cbcea2bddefb3b"),
+        "sweep-oracle": (("sweep", "--box", "2", "2", "2", "--oracle"),
+                         "c9c270880f9b9740b6da4899e29ab5c86e982a58c353748b7e4089430cd63e72"),
+        "search-small": (("search", "--box", "2", "2", "2"),
+                         "77608628b47eaa743ff01b50256e05a978b85d88016b253145bfec6eb019b9ae"),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_stdout_digest(self, capsys, name):
+        argv, digest = self.CASES[name]
+        code, out, _ = run(capsys, *argv)
+        out = re.sub(r'\n *"elapsed_seconds": [^\n]*', "", out)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)

@@ -244,6 +244,9 @@ class TestReduction:
         (reduce_points, [(1, 1, 1.5)]),
         (reduce_points, [(2, False, 1)]),
         (essential_reduce, [(1, 1, 1), (1, 2, True)]),
+        (from_points, [(1, 1)]),
+        (reduce_points, [(1, 1, 1), (1, 2)]),
+        (essential_reduce, [(1, 1, 1), (1, 1, 2, 5)]),
     ])
     def test_non_integer_coordinates_rejected(self, build, pts):
         with pytest.raises(InvalidInput):

@@ -33,6 +33,7 @@ class TestFacets:
         }
         assert summary.f_vector == (1, 4, 5, 2)
         assert summary.h_vector == (1, 1, 0, 0)
+        assert summary.reg == 1
         assert summary.pure
         assert summary.complex_dim == 2
 
@@ -40,6 +41,7 @@ class TestFacets:
         summary = complex_summary([Point(1, 1, k) for k in range(1, 5)], edges=set())
         assert len(summary.facets) == 1
         assert summary.h_vector == (1, 0, 0, 0, 0)
+        assert summary.reg == 0
 
     def test_vertical_square(self):
         summary = facets(leading_pair_graph(box(1, 2, 2).points()))
