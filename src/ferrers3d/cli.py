@@ -64,8 +64,8 @@ def _load_diagram(text: str) -> Diagram:
 @contextmanager
 def _internal_errors(diagram: Diagram, source: str = "engine"):
     """An internal error of the engine or an oracle, including a link that
-    failed validation beyond the fallback limit, exits 3 and names the
-    diagram as its reproduction."""
+    failed validation (``LinkMismatch``), exits 3 and names the diagram as
+    its reproduction."""
     try:
         yield
     except RecursionError:  # a RuntimeError too, but it exits 4 in main()
@@ -268,12 +268,8 @@ def _link_diagnostic(d1: Diagram, d2: Diagram, engine: Engine) -> list[dict]:
         values = []
         for s in states:
             with _internal_errors(s.host):
-                link, ok = engine.link_state(s)
-                if not ok:
-                    values = []
-                    break
-                values.append(engine.suffix_invariants(link))
-        if len(values) == 2 and values[0][1] > values[1][1]:
+                values.append(engine.suffix_invariants(engine.link_state(s)))
+        if values[0][1] > values[1][1]:
             out.append(
                 {
                     "u": list(u),

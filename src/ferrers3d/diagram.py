@@ -297,8 +297,15 @@ def from_generators(gens: Iterable[Sequence[int]]) -> Diagram:
 
 
 def _point_set(points: Iterable[Sequence[int]]) -> Collection[Sequence[int]]:
-    """The points without repeats; a set or frozenset is taken as it is."""
-    pts = points if isinstance(points, (set, frozenset)) else {tuple(p) for p in points}
+    """The points without repeats; a set or frozenset is taken as it is.
+    Raises InvalidInput on a point that is not iterable or not hashable."""
+    if isinstance(points, (set, frozenset)):
+        pts = points
+    else:
+        try:
+            pts = {tuple(p) for p in points}
+        except TypeError as exc:
+            raise InvalidInput(f"every point must be a triple of integers ({exc})") from None
     if not pts:
         raise InvalidInput("empty point set")
     return pts

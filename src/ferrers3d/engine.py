@@ -13,8 +13,10 @@ grows with link nesting, not with the number of layers.
 
 Because the link re-expression is intricate, every constructed link state
 is validated against the zone formula, and (on small hosts) against the
-graph-level link itself; a failed validation falls back to direct facet
-enumeration for that subtree instead of returning a silently wrong value.
+graph-level link itself: its leading edges, mapped back to the host, must be
+exactly the literal link's edges.  A link that fails validation is an
+internal error and raises ``LinkMismatch`` instead of returning a silently
+wrong value.
 
 Work is shared rather than repeated.  Once per host diagram: its point
 tuple, its set of deep (x >= 2) points and, per order flavor, its sorted
@@ -35,13 +37,12 @@ one array, a few bytes per point.
 
 from __future__ import annotations
 
-import logging
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import kernels, minors
+from . import minors
 from .diagram import (
     INDUCTION,
     LEX,
@@ -53,14 +54,10 @@ from .diagram import (
     zones,
 )
 from .errors import InvalidInput, LinkMismatch, NotFerrers, NotNormal, TooLarge, UnsupportedDiagram
-from .oracle import InvariantsReport, complex_summary
-
-log = logging.getLogger(__name__)
+from .oracle import InvariantsReport
 
 #: Largest host size whose links are also checked against the literal graph link.
 VALIDATE_LIMIT = 24
-#: Largest link a failed validation can be repaired for by facet enumeration.
-FALLBACK_LIMIT = 24
 
 
 class _Sentinel:
@@ -188,7 +185,7 @@ class Engine:
     def __init__(self, cache_cap: int | None = None):
         self.cache_cap = cache_cap
         self._memo: OrderedDict = OrderedDict()
-        self.stats = {"states": 0, "cache_hits": 0, "link_checks": 0, "fallbacks": 0}
+        self.stats = {"states": 0, "cache_hits": 0, "link_checks": 0}
 
     # -- memo -----------------------------------------------------------------
 
@@ -258,14 +255,7 @@ class Engine:
             if st is not None:
                 self.stats["states"] += 1
                 if st.is_normal:
-                    link, ok = self.link_state(st)
-                    if ok:
-                        lreg, lmult = self.suffix_invariants(link)
-                    else:
-                        self.stats["fallbacks"] += 1
-                        log.warning("link validation failed at %s in %s; using facet fallback",
-                                    tuple(st.start), st.host)
-                        lreg, lmult = self._link_by_facets(st)
+                    lreg, lmult = self.suffix_invariants(self.link_state(st))
                     reg, mult = base
                     base = (max(reg, lreg + 1), mult + lmult)
             self._put(key, base)
@@ -273,15 +263,17 @@ class Engine:
 
     # -- internals ---------------------------------------------------------------
 
-    def link_state(self, s: SuffixState) -> tuple[SuffixState, bool]:
-        """Re-express the link of the start vertex as a suffix state of a
-        smaller diagram, together with a validation verdict.
+    def link_state(self, s: SuffixState) -> SuffixState:
+        """Re-express the link of the start vertex as a validated suffix
+        state of a smaller diagram.
 
         The returned state realizes the zone-formula target set of the
         start; validation checks that realization exactly, that the new host
         is a projection-property diagram, and (on hosts within the
-        validation limit) that the state's complex has the same facet count
-        as the literal graph link with cone vertices stripped.
+        validation limit) that the state's leading edges, mapped back to the
+        host, are exactly the edges of the literal graph link.  A link that
+        fails validation, or that no zone-formula construction covers, is an
+        internal error and raises ``LinkMismatch``.
         """
         if isinstance(s.start, _Sentinel):
             raise NotNormal("the sentinel state has no link")
@@ -321,51 +313,31 @@ class Engine:
                     ambient, start = target, None
             else:
                 if z1_deep:
-                    # no zone-formula construction applies; force the fallback
-                    return SuffixState(host, u, s.flavor), False
+                    raise _mismatch(s, "has no zone-formula construction")
                 target = set(z3_deep + side)
                 ambient = zm.z3.union(side)
                 start = side[0] if side else PAST_LAYER_1
 
-        link = _reduced_state(ambient, start, s.flavor)
-        if link is None:
-            return SuffixState(host, u, s.flavor), False
-        state, values = link
+        try:
+            state, values = _reduced_state(ambient, start, s.flavor)
+        except (NotFerrers, InvalidInput) as exc:
+            raise _mismatch(s, f"does not reduce to a Ferrers diagram ({exc})") from exc
         if s.flavor == INDUCTION:
             state = _successor(state)  # the link starts right after u
-        ok = self._validate_link(s, state, values, target)
-        return state, ok
+        self._validate_link(s, state, values, target)
+        return state
 
-    def _validate_link(self, s, link, values, target) -> bool:
+    def _validate_link(self, s, link, values, target) -> None:
         if not has_projection_property(link.host):
-            return False
+            raise _mismatch(s, "has a host without the projection property")
         ivals, jvals, kvals = values
         back = {(ivals[i - 1], jvals[j - 1], kvals[k - 1]) for i, j, k in link.realized}
         if back != target:
-            return False
+            raise _mismatch(s, "does not realize the zone-formula target")
         if s.host.size <= VALIDATE_LIMIT:
             self.stats["link_checks"] += 1
-            if not self._graph_link_agrees(s, link):
-                return False
-        return True
-
-    def _graph_link_agrees(self, s, link) -> bool:
-        """Compare facet counts of the literal graph link (cone vertices do
-        not change the count) and of the returned state's complex."""
-        direct = _facet_count(*_literal_link(s))
-        stated = sorted(link.realized)
-        return direct == _facet_count(stated, minors.leading_edges(stated))
-
-    def _link_by_facets(self, s) -> tuple[int, int]:
-        """Fallback: invariants of the literal graph link by enumeration."""
-        rest, edges = _literal_link(s)
-        if len(rest) > FALLBACK_LIMIT:
-            raise LinkMismatch(
-                f"link of {tuple(s.start)} failed validation and has {len(rest)} vertices, "
-                f"beyond the fallback limit {FALLBACK_LIMIT}"
-            )
-        summary = complex_summary(rest, edges, limit=FALLBACK_LIMIT)
-        return summary.reg, summary.f_vector[-1]
+            if not _graph_link_agrees(s, link, values):
+                raise _mismatch(s, "has other edges than the literal graph link")
 
 
 def _first_state(diagram: Diagram, flavor: str) -> SuffixState:
@@ -382,13 +354,10 @@ def _reduced_state(ambient, start, flavor):
     reduced coordinates back to ambient ones.
 
     ``start`` is a first-layer point of the ambient, ``PAST_LAYER_1``, or
-    None for the whole reduced diagram.  Returns None when the ambient does
-    not collapse to a Ferrers diagram.
+    None for the whole reduced diagram.  Raises ``NotFerrers`` or
+    ``InvalidInput`` when the ambient does not collapse to a Ferrers diagram.
     """
-    try:
-        red, values = reduce_points(ambient)
-    except (NotFerrers, InvalidInput):
-        return None
+    red, values = reduce_points(ambient)
     if start is None:
         state = _first_state(red, flavor)
     elif start is PAST_LAYER_1:
@@ -399,16 +368,24 @@ def _reduced_state(ambient, start, flavor):
     return state, values
 
 
-def _literal_link(s: SuffixState) -> tuple[list[Point], set[frozenset[Point]]]:
-    """The non-neighbors of the start vertex in the state's leading-pair
-    graph, in ascending order, and the edges among them."""
-    S = sorted(s.realized)
-    edges = minors.leading_edges(S)
+def _mismatch(s: SuffixState, why: str) -> LinkMismatch:
+    return LinkMismatch(f"the link of {tuple(s.start)} in {s.host} {why}")
+
+
+def _literal_link(s: SuffixState) -> set[frozenset[Point]]:
+    """The edges of the literal graph link of the start vertex: the edges of
+    the state's leading-pair graph that avoid the start and its neighbors."""
+    edges = minors.leading_edges(s.realized)
     closed = {s.start}.union(*(e for e in edges if s.start in e))
-    rest = [p for p in S if p not in closed]
-    kept = set(rest)
-    return rest, {e for e in edges if e <= kept}
+    return {e for e in edges if e.isdisjoint(closed)}
 
 
-def _facet_count(points, edges) -> int:
-    return len(kernels.maximal_independent_sets(kernels.adjacency(points, edges)))
+def _graph_link_agrees(s: SuffixState, link: SuffixState, values) -> bool:
+    """Whether the link state's leading edges, mapped back through the value
+    maps, are exactly the literal graph link's edges.  The complexes then
+    differ only by cone vertices, which change neither regularity nor
+    multiplicity."""
+    ivals, jvals, kvals = values
+    stated = {frozenset((ivals[i - 1], jvals[j - 1], kvals[k - 1]) for i, j, k in e)
+              for e in minors.leading_edges(link.realized)}
+    return stated == _literal_link(s)

@@ -27,7 +27,7 @@ class NotNormal(Ferrers3DError):
 
 
 class LinkMismatch(Ferrers3DError):
-    """A link state failed validation and no fallback was possible."""
+    """A link state failed validation: an internal engine error."""
 
 
 class UnsupportedDiagram(Ferrers3DError):

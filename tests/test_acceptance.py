@@ -96,8 +96,7 @@ def test_criterion_4_link_multiplicity_regression(shared_engine):
     u = Point(1, 3, 1)
     mults = []
     for d in (d1, d2):
-        link, ok = shared_engine.link_state(SuffixState(d, u, INDUCTION))
-        assert ok
+        link = shared_engine.link_state(SuffixState(d, u, INDUCTION))
         mults.append(shared_engine.suffix_invariants(link)[1])
     assert mults == [2, 1]
     _ok(4, "link multiplicities at (1,3,1) are exactly 2 (smaller diagram) and 1 (box)")

@@ -384,13 +384,23 @@ class TestInternalErrors:
             assert json.dumps(diagram_to_json(canonical)) in err
 
     def test_link_mismatch_exits_three(self, capsys, monkeypatch):
-        # every link fails validation and none is small enough to enumerate
-        monkeypatch.setattr(Engine, "_validate_link", lambda self, *args: False)
-        monkeypatch.setattr(engine, "FALLBACK_LIMIT", 0)
-        code, out, err = run(capsys, "invariants", json.dumps({"layers": [[3, 3, 3]] * 3}))
+        # the literal graph link loses one edge, so the first validated link
+        # that has an edge disagrees with it
+        literal_link = engine._literal_link
+
+        def corrupted(s):
+            edges = set(literal_link(s))
+            if edges:
+                edges.remove(min(edges, key=sorted))
+            return edges
+        monkeypatch.setattr(engine, "_literal_link", corrupted)
+        layers = json.dumps({"layers": [[3, 3, 3]] * 3})
+        with pytest.raises(LinkMismatch, match="other edges than the literal graph link"):
+            Engine().invariants(box(3, 3, 3))
+        code, out, err = run(capsys, "invariants", layers)
         assert code == 3 and not out
-        assert "fallback limit" in err
-        assert json.dumps({"layers": [[3, 3, 3]] * 3}) in err
+        assert "internal engine error: the link of" in err
+        assert layers in err
 
 
 class TestGolden:

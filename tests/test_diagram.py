@@ -247,6 +247,9 @@ class TestReduction:
         (from_points, [(1, 1)]),
         (reduce_points, [(1, 1, 1), (1, 2)]),
         (essential_reduce, [(1, 1, 1), (1, 1, 2, 5)]),
+        (from_points, [5]),
+        (from_points, [(1, 1, 1), None]),
+        (from_points, [[1, [1], 1]]),
     ])
     def test_non_integer_coordinates_rejected(self, build, pts):
         with pytest.raises(InvalidInput):
