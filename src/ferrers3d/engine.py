@@ -320,8 +320,8 @@ class Engine:
 
         try:
             state, values = _reduced_state(ambient, start, s.flavor)
-        except (NotFerrers, InvalidInput) as exc:
-            raise _mismatch(s, f"does not reduce to a Ferrers diagram ({exc})") from exc
+        except (NotFerrers, InvalidInput, ValueError) as exc:
+            raise _mismatch(s, f"cannot be built from its ambient set ({exc})") from exc
         if s.flavor == INDUCTION:
             state = _successor(state)  # the link starts right after u
         self._validate_link(s, state, values, target)
@@ -355,7 +355,8 @@ def _reduced_state(ambient, start, flavor):
 
     ``start`` is a first-layer point of the ambient, ``PAST_LAYER_1``, or
     None for the whole reduced diagram.  Raises ``NotFerrers`` or
-    ``InvalidInput`` when the ambient does not collapse to a Ferrers diagram.
+    ``InvalidInput`` when the ambient does not collapse to a Ferrers diagram,
+    and ``ValueError`` when the start is not in it.
     """
     red, values = reduce_points(ambient)
     if start is None:

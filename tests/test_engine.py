@@ -26,7 +26,14 @@ from ferrers3d.engine import (
     realized_set,
 )
 from ferrers3d import engine as engine_module
-from ferrers3d.errors import InvalidInput, NotNormal, TooLarge, UnsupportedDiagram
+from ferrers3d.errors import (
+    InvalidInput,
+    LinkMismatch,
+    NotFerrers,
+    NotNormal,
+    TooLarge,
+    UnsupportedDiagram,
+)
 from ferrers3d.families import enumerate_diagrams, sample_diagrams
 from ferrers3d.minors import classify_point
 from ferrers3d.oracle import complex_summary
@@ -118,6 +125,15 @@ class TestLinkState:
         link2 = engine.link_state(SuffixState(box(2, 3, 3), u, INDUCTION))
         assert engine.suffix_invariants(link1) == (1, 2)
         assert engine.suffix_invariants(link2) == (0, 1)
+
+    @pytest.mark.parametrize("error", [NotFerrers("gap"), InvalidInput("empty"),
+                                       ValueError("start not in list")])
+    def test_unbuildable_link_raises(self, monkeypatch, error):
+        def broken(points):
+            raise error
+        monkeypatch.setattr(engine_module, "reduce_points", broken)
+        with pytest.raises(LinkMismatch, match="cannot be built from its ambient set"):
+            Engine().invariants(box(2, 2, 2))
 
     def test_phantom_rejected(self, engine):
         s = SuffixState(box(2, 2, 1), Point(1, 2, 1), INDUCTION)
