@@ -5,30 +5,22 @@ by a vertex-shedding recursion and cross-validated by brute-force oracles.
 
 from .diagram import (
     Diagram,
-    OrderedPointList,
     Point,
     ZoneMap,
     alpha_beta_gamma,
     box,
     diagram_from_json,
     diagram_to_json,
-    essential_reduce,
     from_generators,
     from_points,
     has_projection_property,
     has_strong_projection_property,
-    induction_order,
-    lex_order,
     profile,
     validate,
     zones,
 )
 from .minors import (
     Binomial2Minor,
-    PairGraph,
-    classify_point,
-    leading_pair_graph,
-    monomial_generators,
     two_minors,
 )
 from .engine import (
@@ -42,7 +34,6 @@ from .oracle import (
     GBCheckReport,
     HilbertTable,
     InvariantsReport,
-    facets,
     hilbert_function,
     hilbert_invariants,
     oracle_invariants,
@@ -57,7 +48,6 @@ from .closed_forms import (
     profile_bounds,
     rect_multiplicity,
     rect_regularity,
-    reduction_number,
     segre_combine,
 )
 from . import errors

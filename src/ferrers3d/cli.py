@@ -217,7 +217,7 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_gens(args) -> int:
     diagram = _load_diagram(args.diagram)
-    pts = sorted(minors.monomial_generators(diagram))
+    pts = diagram.points()
     out = {
         "monomials": [list(p) for p in pts],
         "minors": [

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .diagram import Diagram, _is_int, box, has_strong_projection_property, profile
+from .diagram import Diagram, _is_int, has_strong_projection_property, profile
 from .errors import HypothesisFailed, InvalidInput, UnsupportedDiagram
 
 
@@ -150,16 +150,3 @@ def profile_bounds(diagram: Diagram) -> ProfileBounds:
         box_mult_bound=box_mult,
         profile_partition=part,
     )
-
-
-def reduction_number(diagram: Diagram) -> int:
-    """Reduction number of the defining monomial ideal; equals the engine's
-    regularity.  For full boxes the two-smallest-sides value is asserted as
-    a cross-check."""
-    from .engine import Engine
-
-    reg = Engine().invariants(diagram).reg
-    a, b, c = diagram.a, diagram.b, diagram.c
-    if diagram == box(a, b, c) and reg != rect_regularity(a, b, c):
-        raise RuntimeError("box reduction number disagrees with the closed form")
-    return reg

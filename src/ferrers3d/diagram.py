@@ -218,17 +218,6 @@ class ZoneMap:
     def zone(self, n: int) -> frozenset[Point]:
         return (self.z1, self.z2, self.z3, self.z4, self.z5, self.z6)[n - 1]
 
-    def union(self) -> frozenset[Point]:
-        return self.z1 | self.z2 | self.z3 | self.z4 | self.z5 | self.z6
-
-
-@dataclass(frozen=True)
-class OrderedPointList:
-    """A total order on the first layer; flavor is "induction" or "lex"."""
-
-    points: tuple[Point, ...]
-    flavor: str
-
 
 # ---------------------------------------------------------------------------
 # construction
@@ -358,9 +347,14 @@ def _from_heights(heights: dict[tuple[int, int], int], size: int) -> Diagram:
 
 def from_points(points: Iterable[Sequence[int]]) -> Diagram:
     """Build a diagram from an exact point set; the set itself must already
-    be downward closed and essential."""
+    be downward closed and essential.  Raises InvalidInput on a bool
+    anywhere, even one equal to an integer already on its axis."""
+    points = list(points)
     pts = _point_set(points)
-    _axis_values(pts)  # rejects non-integer coordinates
+    _axis_values(pts)  # rejects non-triples and non-integer coordinates
+    # a set cannot tell True from 1, so every given coordinate's type is read
+    if bool in set(map(type, chain.from_iterable(points))):
+        raise InvalidInput("a coordinate is a bool, not an integer")
     return _from_heights(_column_heights(pts), len(pts))
 
 
@@ -374,23 +368,18 @@ def reduce_points(
     reduced diagram.  The ranks are applied to the column heights, which
     the one pass over the points yields, so no reduced point set is built.
     Raises NotFerrers if the collapsed set is still not downward closed.
+
+    Unlike :func:`from_points` it inspects only each axis's distinct values,
+    so a bool equal to an integer already on its axis passes as that
+    integer.  It is not exported: the engine feeds it subsets of a host's
+    own points, and a type pass over every coordinate would sit on the
+    engine's link path.
     """
     pts = _point_set(points)
     values = _axis_values(pts)
     imap, jmap, kmap = (dict(zip(axis, range(1, len(axis) + 1))) for axis in values)
     heights = {(imap[i], jmap[j]): kmap[h] for (i, j), h in _column_heights(pts).items()}
     return _from_heights(heights, len(pts)), values
-
-
-def essential_reduce(obj: "Diagram | Iterable[Sequence[int]]") -> Diagram:
-    """Remove all empty coordinate slices.
-
-    A diagram in layer form is already essential and passes through
-    unchanged; a raw point set is collapsed per axis first.
-    """
-    if isinstance(obj, Diagram):
-        return validate(obj.layers)
-    return reduce_points(obj)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -480,16 +469,6 @@ def order_key(diagram: Diagram, flavor: str) -> Callable[[Point], tuple[int, ...
         return lambda p: (p.j, p.k)
     c2 = diagram.layer_height(2)
     return lambda p: (0, p.j, p.k) if p.k <= c2 else (1, p.k, p.j)
-
-
-def induction_order(diagram: Diagram) -> OrderedPointList:
-    """First-layer order used by the shedding recursion."""
-    return OrderedPointList(diagram.first_layer_order(INDUCTION)[0], INDUCTION)
-
-
-def lex_order(diagram: Diagram) -> OrderedPointList:
-    """First-layer points in plain lexicographic order on (j, k)."""
-    return OrderedPointList(diagram.first_layer_order(LEX)[0], LEX)
 
 
 # ---------------------------------------------------------------------------

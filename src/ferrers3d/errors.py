@@ -18,10 +18,6 @@ class NotInDiagram(Ferrers3DError):
     """A reference point does not belong to the diagram."""
 
 
-class NotInLayer(Ferrers3DError):
-    """A reference point does not belong to the first layer."""
-
-
 class NotNormal(Ferrers3DError):
     """A link was requested at a phantom point."""
 

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import AbstractSet, Collection, Container, Iterable, Iterator
 
-from .diagram import Diagram, OrderedPointList, Point
-from .errors import InvalidInput, NotInDiagram, NotInLayer
+from .diagram import Point
+from .errors import InvalidInput, NotInDiagram
 
 
 @dataclass(frozen=True)
@@ -43,12 +43,6 @@ class Binomial2Minor:
     lead: frozenset[Point]
     trail: frozenset[Point]
     directions: frozenset[str]
-
-
-@dataclass(frozen=True)
-class PairGraph:
-    vertices: frozenset[Point]
-    edges: frozenset[frozenset[Point]]
 
 
 def _code(p: Point, w: int) -> int:
@@ -107,16 +101,6 @@ def leading_edges(points: Iterable[Point]) -> frozenset[frozenset[Point]]:
     return frozenset(frozenset((point[u], point[v])) for u, v in leads)
 
 
-def leading_pair_graph(points: Iterable[Point]) -> PairGraph:
-    pts = frozenset(Point(*p) for p in points)
-    return PairGraph(pts, leading_edges(pts))
-
-
-def monomial_generators(diagram: Diagram) -> frozenset[Point]:
-    """Generators of the defining monomial ideal; one per diagram point."""
-    return frozenset(diagram.points())
-
-
 def is_normal_in(collection: AbstractSet[Point], u: Point) -> bool:
     """Definitional normality test on an arbitrary collection containing u
     (``NotInDiagram`` otherwise): does deleting u shrink the leading-pair
@@ -139,25 +123,3 @@ def is_normal_in(collection: AbstractSet[Point], u: Point) -> bool:
     survivors = {(a, b) for _, a, b, p, q in _scan(candidates, point, w)
                  if a < p and a < q and c != p and c != q}
     return survivors != candidates
-
-
-def _suffix_sets(
-    diagram: Diagram, order: OrderedPointList, u: Point
-) -> tuple[frozenset[Point], frozenset[Point]]:
-    try:
-        pos = order.points.index(u)
-    except ValueError:
-        raise NotInLayer(f"{tuple(u)} is not in the ordered first layer") from None
-    suffix = diagram.deep_points.union(order.points[pos:])
-    return suffix, suffix - {u}
-
-
-def classify_point(diagram: Diagram, order: OrderedPointList, u: Point) -> str:
-    """Classify a first-layer point as "normal" or "phantom" for the given
-    order: normal iff the leading-pair edge sets of its suffix with and
-    without the point differ.  (For quadratic squarefree edge sets the
-    initial-ideal containment test reduces to edge-set inequality.)
-    """
-    u = Point(*u)
-    with_u, without_u = _suffix_sets(diagram, order, u)
-    return "normal" if leading_edges(with_u) != leading_edges(without_u) else "phantom"

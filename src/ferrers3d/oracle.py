@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 from . import kernels
 from .diagram import Diagram, Point, has_projection_property
 from .errors import InsufficientDegree, TooLarge
-from .minors import PairGraph, leading_edges, two_minors
+from .minors import leading_edges, two_minors
 
 DEFAULT_FACET_LIMIT = 24
 DEFAULT_PRODUCT_LIMIT = 5_000_000
@@ -66,17 +66,13 @@ def _h_from_f(f_vector: Sequence[int], d: int) -> tuple[int, ...]:
     )
 
 
-def complex_summary(
-    points: Iterable[Point],
-    edges: Optional[Iterable[frozenset[Point]]] = None,
-    limit: int = DEFAULT_FACET_LIMIT,
-) -> ComplexSummary:
+def complex_summary(points: Iterable[Point], limit: int = DEFAULT_FACET_LIMIT) -> ComplexSummary:
     """Summary of the independence complex of the leading-pair graph on the
-    collection (or of an explicitly given edge set on it)."""
+    collection."""
     verts = sorted({Point(*p) for p in points})
     if len(verts) > limit:
         raise TooLarge(f"{len(verts)} vertices exceed the facet limit {limit}")
-    adj = kernels.adjacency(verts, leading_edges(verts) if edges is None else edges)
+    adj = kernels.adjacency(verts, leading_edges(verts))
     masks = kernels.maximal_independent_sets(adj)
     facets = tuple(
         frozenset(verts[t] for t in range(len(verts)) if mask >> t & 1) for mask in masks
@@ -89,11 +85,6 @@ def complex_summary(
         raise RuntimeError("h-vector transform is inconsistent with the face counts")
     pure = all(len(f) == d for f in facets)
     return ComplexSummary(facets, pure, f_vector, h_vector, d - 1)
-
-
-def facets(graph: PairGraph, limit: int = DEFAULT_FACET_LIMIT) -> ComplexSummary:
-    """Facets and face counts of the independence complex of a pair graph."""
-    return complex_summary(graph.vertices, graph.edges, limit)
 
 
 def oracle_invariants(diagram: Diagram, limit: int = DEFAULT_FACET_LIMIT) -> InvariantsReport:

@@ -1,8 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ferrers3d import box, diagram_from_json, diagram_to_json
 from ferrers3d.cli import main
@@ -319,6 +323,49 @@ class TestNumberGuards:
         assert exc.value.code == 2
         floor = {"--hilbert-degree": 0, "--facet-threshold": 0, "--max-degree": 2}.get(argv[-2], 1)
         assert f"is below {floor}" in out.err and not out.out
+
+
+def _values(top):
+    return st.one_of(st.integers(-1, top), st.booleans(), st.none(), st.just(1.5), st.just("2"))
+
+
+# At most 3 layers of 3 parts with heights up to 4, or up to 3 generators
+# with coordinates up to 3 (4 on the last axis): every valid diagram fits a
+# 3x3x4 box, so no run is long.  The first two branches are mostly valid.
+_DOCUMENT = st.one_of(
+    st.fixed_dictionaries({"layers": st.lists(
+        st.lists(st.integers(1, 4), min_size=1, max_size=3).map(lambda l: sorted(l, reverse=True)),
+        min_size=1, max_size=3)}),
+    st.fixed_dictionaries({"generators": st.lists(
+        st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4)).map(list),
+        min_size=1, max_size=3)}),
+    st.fixed_dictionaries({"layers": st.lists(st.lists(_values(4), max_size=3), max_size=3)}),
+    st.fixed_dictionaries({"generators": st.lists(st.lists(_values(3), max_size=4), max_size=3)}),
+    st.dictionaries(st.sampled_from(["layers", "generators", "other"]),
+                    st.lists(st.lists(_values(4), max_size=3), max_size=3), max_size=3),
+    st.lists(_values(4), max_size=3),
+)
+# "@..." would name a file to read
+_TEXT = st.one_of(_DOCUMENT.map(json.dumps), st.text(max_size=6).filter(lambda t: not t.startswith("@")))
+_ARGV = st.one_of(
+    st.tuples(st.just("check"), _TEXT,
+              st.one_of(st.just(()), st.tuples(st.just("--zones"), *[st.integers(-1, 4).map(str)] * 3))),
+    st.tuples(st.just("invariants"), _TEXT,
+              st.lists(st.sampled_from(["--oracle", "--bounds", "--order=lex"]), unique=True)),
+)
+
+
+class TestExitCodes:
+    @settings(max_examples=200, deadline=None)
+    @given(_ARGV)
+    def test_exit_code_in_contract(self, argv):
+        verb, text, flags = argv
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main([verb, text, *flags])
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = exc.code
+        assert code in (0, 2, 3, 4)
 
 
 class TestInternalErrors:

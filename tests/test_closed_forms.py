@@ -17,7 +17,6 @@ from ferrers3d import (
     profile_bounds,
     rect_multiplicity,
     rect_regularity,
-    reduction_number,
     segre_combine,
     validate,
 )
@@ -196,13 +195,14 @@ class TestProfileBounds:
 
 class TestReductionNumber:
     def test_values(self):
-        assert reduction_number(box(2, 2, 2)) == 2
-        assert reduction_number(validate([[1]])) == 0
-        assert reduction_number(box(1, 2, 3)) == 1
+        eng = Engine()
+        for d, red_num in ((box(2, 2, 2), 2), (validate([[1]]), 0), (box(1, 2, 3), 1)):
+            assert eng.invariants(d).red_num == red_num
 
     def test_matches_regularity(self):
         eng = Engine()
         for d in list(enumerate_diagrams(2, 2, 2)):
             if not has_strong_projection_property(d):
                 continue
-            assert reduction_number(d) == eng.invariants(d).reg
+            rep = eng.invariants(d)
+            assert rep.red_num == rep.reg

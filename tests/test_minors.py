@@ -4,18 +4,15 @@ from hypothesis import strategies as st
 
 from ferrers3d import (
     Point,
+    SuffixState,
     box,
-    classify_point,
     from_generators,
     has_projection_property,
-    induction_order,
-    leading_pair_graph,
-    lex_order,
-    monomial_generators,
     two_minors,
     validate,
 )
-from ferrers3d.errors import InvalidInput, NotInDiagram, NotInLayer
+from ferrers3d.diagram import INDUCTION, LEX
+from ferrers3d.errors import InvalidInput, NotInDiagram
 from ferrers3d.families import enumerate_diagrams
 from ferrers3d.minors import is_normal_in, leading_edges
 
@@ -63,6 +60,13 @@ def reference_leading_edges(points):
     return {lead for lead, _ in reference_minors(points)}
 
 
+def classify(suffix, u):
+    """The definition: u is normal in its suffix iff deleting it changes the
+    suffix's leading-pair edge set, and phantom otherwise."""
+    edges = reference_leading_edges(suffix)
+    return "normal" if reference_leading_edges(suffix - {u}) != edges else "phantom"
+
+
 # Small values make many minors; values near 100,000 need a 17-bit field.
 COORD = st.one_of(st.integers(0, 3), st.integers(99_998, 100_000))
 POINT_SETS = st.sets(st.builds(Point, COORD, COORD, COORD), max_size=12)
@@ -106,15 +110,22 @@ class TestPacking:
             is_normal_in(frozenset(box(2, 2, 1).points()), Point(3, 1, 1))
 
 
+def sorted_distinct(pts):
+    return list(pts) == sorted(set(pts))
+
+
 class TestGenerators:
+    # one generator per diagram point; ``gens`` lists them as ``points()``
     def test_single(self):
-        assert monomial_generators(validate([[1]])) == {Point(1, 1, 1)}
+        assert validate([[1]]).points() == (Point(1, 1, 1),)
 
     def test_flat_box(self):
-        assert len(monomial_generators(box(2, 2, 1))) == 4
+        pts = box(2, 2, 1).points()
+        assert len(pts) == 4 and sorted_distinct(pts)
 
     def test_closure(self):
-        assert len(monomial_generators(CLOSURE)) == 14
+        pts = CLOSURE.points()
+        assert len(pts) == 14 and sorted_distinct(pts)
 
 
 class TestTwoMinors:
@@ -157,57 +168,62 @@ class TestTwoMinors:
 
 class TestLeadingPairGraph:
     def test_flat_box(self):
-        g = leading_pair_graph(box(2, 2, 1).points())
-        assert g.edges == {pair((1, 1, 1), (2, 2, 1))}
+        assert leading_edges(box(2, 2, 1).points()) == {pair((1, 1, 1), (2, 2, 1))}
 
     def test_vertical_square(self):
-        g = leading_pair_graph(box(1, 2, 2).points())
-        assert g.edges == {pair((1, 1, 1), (1, 2, 2))}
+        assert leading_edges(box(1, 2, 2).points()) == {pair((1, 1, 1), (1, 2, 2))}
 
     def test_single_point(self):
-        assert leading_pair_graph([Point(1, 1, 1)]).edges == frozenset()
+        assert leading_edges([Point(1, 1, 1)]) == frozenset()
 
     def test_edges_are_two_sets(self):
         for d in enumerate_diagrams(3, 3, 3):
-            for e in leading_pair_graph(d.points()).edges:
+            for e in leading_edges(d.points()):
                 assert len(e) == 2
 
 
+def orders(d):
+    """The first layer in each order flavor."""
+    return [d.first_layer_order(flavor)[0] for flavor in (INDUCTION, LEX)]
+
+
 def _suffix(diagram, order, u):
-    pos = order.points.index(u)
+    pos = order.index(u)
     deep = [p for p in diagram.points() if p.i >= 2]
-    return frozenset(order.points[pos:]) | frozenset(deep)
+    return frozenset(order[pos:]) | frozenset(deep)
 
 
 class TestClassification:
     def test_vertical_square_lex(self):
         d = box(1, 2, 2)
-        order = lex_order(d)
-        assert classify_point(d, order, Point(1, 1, 1)) == "normal"
-        for u in ((1, 1, 2), (1, 2, 1), (1, 2, 2)):
-            assert classify_point(d, order, Point(*u)) == "phantom"
+        order = d.first_layer_order(LEX)[0]
+        assert classify(_suffix(d, order, Point(1, 1, 1)), Point(1, 1, 1)) == "normal"
+        for u in map(Point._make, ((1, 1, 2), (1, 2, 1), (1, 2, 2))):
+            assert classify(_suffix(d, order, u), u) == "phantom"
 
     def test_flat_box_induction(self):
         d = box(2, 2, 1)
-        order = induction_order(d)
-        assert classify_point(d, order, Point(1, 1, 1)) == "normal"
-        assert classify_point(d, order, Point(1, 2, 1)) == "phantom"
+        order = d.first_layer_order(INDUCTION)[0]
+        assert classify(_suffix(d, order, Point(1, 1, 1)), Point(1, 1, 1)) == "normal"
+        assert classify(_suffix(d, order, Point(1, 2, 1)), Point(1, 2, 1)) == "phantom"
 
     def test_last_singleton_is_phantom(self):
         d = validate([[1]])
-        assert classify_point(d, lex_order(d), Point(1, 1, 1)) == "phantom"
+        assert classify(frozenset(d.points()), Point(1, 1, 1)) == "phantom"
 
     def test_not_in_layer(self):
-        d = box(2, 2, 2)
-        with pytest.raises(NotInLayer):
-            classify_point(d, lex_order(d), Point(2, 1, 1))
+        # a suffix starts at a first-layer point
+        s = SuffixState(box(2, 2, 2), Point(2, 1, 1), LEX)
+        with pytest.raises(InvalidInput):
+            s.is_normal
 
     def test_fast_path_agrees_with_definition(self):
         for d in [*enumerate_diagrams(2, 2, 3), *enumerate_diagrams(3, 3, 2)]:
-            for order in (induction_order(d), lex_order(d)):
-                for u in order.points:
-                    fast = "normal" if is_normal_in(_suffix(d, order, u), u) else "phantom"
-                    assert fast == classify_point(d, order, u)
+            for order in orders(d):
+                for u in order:
+                    suffix = _suffix(d, order, u)
+                    fast = "normal" if is_normal_in(suffix, u) else "phantom"
+                    assert fast == classify(suffix, u)
 
 
 class TestRestriction:
@@ -219,8 +235,8 @@ class TestRestriction:
                 continue
             host_edges = leading_edges(d.points())
             assert host_edges == {m.lead for m in two_minors(d.points())}
-            for order in (induction_order(d), lex_order(d)):
-                for u in order.points:
+            for order in orders(d):
+                for u in order:
                     suffix = _suffix(d, order, u)
                     induced = {e for e in host_edges if e <= suffix}
                     assert leading_edges(suffix) == induced
@@ -232,9 +248,9 @@ class TestRestriction:
             if not has_projection_property(d):
                 continue
             host_edges = leading_edges(d.points())
-            for order in (induction_order(d), lex_order(d)):
-                for u in order.points:
+            for order in orders(d):
+                for u in order:
                     suffix = _suffix(d, order, u)
                     touched = any(u in e and e <= suffix for e in host_edges)
-                    verdict = classify_point(d, order, u)
+                    verdict = classify(suffix, u)
                     assert verdict == ("normal" if touched else "phantom")

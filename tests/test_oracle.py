@@ -5,12 +5,10 @@ import pytest
 from ferrers3d import (
     Point,
     box,
-    facets,
     from_generators,
     has_projection_property,
     hilbert_function,
     hilbert_invariants,
-    leading_pair_graph,
     oracle_invariants,
     toric_gb_check,
     validate,
@@ -26,7 +24,7 @@ def pts(*coords):
 
 class TestFacets:
     def test_flat_box_worked_example(self):
-        summary = facets(leading_pair_graph(box(2, 2, 1).points()))
+        summary = complex_summary(box(2, 2, 1).points())
         assert set(summary.facets) == {
             pts((1, 1, 1), (1, 2, 1), (2, 1, 1)),
             pts((1, 2, 1), (2, 1, 1), (2, 2, 1)),
@@ -38,13 +36,14 @@ class TestFacets:
         assert summary.complex_dim == 2
 
     def test_edgeless_graph_is_simplex(self):
-        summary = complex_summary([Point(1, 1, k) for k in range(1, 5)], edges=set())
+        # a column has no 2-minors, so its leading-pair graph has no edges
+        summary = complex_summary([Point(1, 1, k) for k in range(1, 5)])
         assert len(summary.facets) == 1
         assert summary.h_vector == (1, 0, 0, 0, 0)
         assert summary.reg == 0
 
     def test_vertical_square(self):
-        summary = facets(leading_pair_graph(box(1, 2, 2).points()))
+        summary = complex_summary(box(1, 2, 2).points())
         assert len(summary.facets) == 2
         assert all(len(f) == 3 for f in summary.facets)
 
