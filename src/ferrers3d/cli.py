@@ -5,7 +5,7 @@ document to stdout (CSV in sweep mode on request) and signals through the
 exit code: 0 ok, 2 input error (including a number out of range), 3
 cross-check disagreement or internal engine or oracle error (the message
 carries the diagram as a reproduction), 4 unsupported input, size limit,
-or links nested too deeply for the engine's recursion.
+or input nested past Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -137,11 +137,7 @@ def _cmd_check(args) -> int:
         "profile_xz": list(profile(diagram, "xz")),
     }
     if args.zones is not None:
-        u = Point(*args.zones)
-        try:
-            zm = zones(diagram, u)
-        except Ferrers3DError as exc:
-            raise _CliFailure(EXIT_INPUT, str(exc)) from exc
+        zm = zones(diagram, Point(*args.zones))
         out["zones"] = {
             f"z{n}": sorted(list(p) for p in zm.zone(n)) for n in range(1, 7)
         }
@@ -339,16 +335,18 @@ def _cmd_sweep(args) -> int:
     keep = {"pp": has_projection_property, "spp": has_strong_projection_property}.get(args.filter)
     diagrams = _box_diagrams(args.box, args.limit, "; raise --limit or use --sample",
                              args.sample, args.seed)
-    diagrams = [d for d in diagrams if keep is None or keep(d)]
-
     engine = Engine(cache_cap=args.cache_cap)
-    rows = [_sweep_row(d, engine, args.oracle, args.facet_limit) for d in diagrams]
+    rows = []
+    eligible = []  # (diagram without the engine's point caches, row) under --pairs
+    for d in diagrams:
+        if keep is None or keep(d):
+            row = _sweep_row(d, engine, args.oracle, args.facet_limit)
+            rows.append(row)
+            if args.pairs and row["spp"] and row["source"] == "engine":
+                eligible.append((Diagram(d.layers), row))
     disagree = any(row.get("oracle_agree") is False for row in rows)
 
     if args.pairs:
-        eligible = [
-            (d, row) for d, row in zip(diagrams, rows) if row["spp"] and row["source"] == "engine"
-        ]
         violations = []
         checked = 0
         for small, small_row in eligible:
@@ -380,11 +378,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    diagrams = [d for d in _box_diagrams(args.box, args.limit) if has_projection_property(d)]
     engine = Engine(cache_cap=args.cache_cap)
     candidates = []
+    checked = 0
     disagree = False
-    for diagram in diagrams:
+    for diagram in _box_diagrams(args.box, args.limit):
+        if not has_projection_property(diagram):
+            continue
+        checked += 1
         report = _engine_invariants(engine, diagram)
         bound = closed_forms.rect_multiplicity(diagram.a, diagram.b, diagram.c)
         if report.mult > bound:
@@ -400,7 +401,7 @@ def _cmd_search(args) -> int:
             candidates.append(entry)
     _emit(
         {
-            "diagrams_checked": len(diagrams),
+            "diagrams_checked": checked,
             "counterexamples": candidates,
             "summary": "no counterexample found" if not candidates else "candidates found",
         }
@@ -532,7 +533,7 @@ def main(argv=None) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
     except RecursionError as exc:
-        print(f"the input is too deep for the engine: {exc}", file=sys.stderr)
+        print(f"the input is nested too deep to evaluate: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
 
 

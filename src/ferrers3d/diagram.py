@@ -262,19 +262,23 @@ def validate(layers: Iterable[Iterable[int]]) -> Diagram:
     return Diagram(rows)
 
 
+def _check_box(a: int, b: int, c: int) -> None:
+    """Raises InvalidInput unless the box dimensions are positive ints."""
+    if not all(_is_int(n) and n >= 1 for n in (a, b, c)):
+        raise InvalidInput(f"box dimensions must be positive integers, got {a!r} x {b!r} x {c!r}")
+
+
 def box(a: int, b: int, c: int) -> Diagram:
     """The full rectangular diagram [a] x [b] x [c]."""
-    if a < 1 or b < 1 or c < 1:
-        raise InvalidInput("box dimensions must be positive")
+    _check_box(a, b, c)
     return Diagram(((c,) * b,) * a)
 
 
 def from_generators(gens: Iterable[Sequence[int]]) -> Diagram:
-    """Smallest Ferrers diagram containing every generator (downward closure)."""
-    pts = [Point(*g) for g in gens]
-    if not pts:
-        raise InvalidInput("empty generator set")
-    if any(p.i < 1 or p.j < 1 or p.k < 1 for p in pts):
+    """Smallest Ferrers diagram containing every generator (downward
+    closure); each must be a triple of positive ints (InvalidInput)."""
+    pts = [Point(*g) for g in _int_triples(gens)]
+    if min(map(min, pts)) < 1:
         raise InvalidInput("generator coordinates must be positive")
     a = max(p.i for p in pts)
     layers = []
@@ -345,16 +349,25 @@ def _from_heights(heights: dict[tuple[int, int], int], size: int) -> Diagram:
     return diag
 
 
-def from_points(points: Iterable[Sequence[int]]) -> Diagram:
-    """Build a diagram from an exact point set; the set itself must already
-    be downward closed and essential.  Raises InvalidInput on a bool
-    anywhere, even one equal to an integer already on its axis."""
-    points = list(points)
+def _int_triples(points: Iterable[Sequence[int]]) -> Collection[Sequence[int]]:
+    """The points without repeats.  Raises InvalidInput unless each is a
+    triple of ints; a set cannot tell True from 1, so a bool is found by
+    reading every given coordinate's type."""
+    try:
+        points = list(points)
+    except TypeError as exc:
+        raise InvalidInput(f"the points must be a collection of triples ({exc})") from None
     pts = _point_set(points)
     _axis_values(pts)  # rejects non-triples and non-integer coordinates
-    # a set cannot tell True from 1, so every given coordinate's type is read
     if bool in set(map(type, chain.from_iterable(points))):
         raise InvalidInput("a coordinate is a bool, not an integer")
+    return pts
+
+
+def from_points(points: Iterable[Sequence[int]]) -> Diagram:
+    """Build a diagram from an exact set of int triples; the set itself
+    must already be downward closed and essential."""
+    pts = _int_triples(points)
     return _from_heights(_column_heights(pts), len(pts))
 
 
@@ -505,9 +518,4 @@ def diagram_from_json(data: object) -> Diagram:
         if not isinstance(layers, list) or not all(isinstance(l, list) for l in layers):
             raise InvalidInput("'layers' must be a list of lists")
         return validate(layers)
-    gens = data["generators"]
-    if not isinstance(gens, list) or not all(
-        isinstance(g, list) and len(g) == 3 and all(_is_int(v) for v in g) for g in gens
-    ):
-        raise InvalidInput("'generators' must be a list of [i, j, k] triples")
-    return from_generators(gens)
+    return from_generators(data["generators"])

@@ -10,32 +10,22 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
-from .diagram import Diagram
-from .errors import InvalidInput
+from .diagram import Diagram, _check_box
 
 
 def subpartitions(bound: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Every partition componentwise contained in ``bound`` (empty included),
-    in a fixed deterministic order."""
-    out: list[tuple[int, ...]] = [()]
-
-    def rec(prefix: list[int], idx: int) -> None:
-        if idx >= len(bound):
-            return
-        hi = bound[idx] if not prefix else min(bound[idx], prefix[-1])
-        for h in range(1, hi + 1):
-            prefix.append(h)
-            out.append(tuple(prefix))
-            rec(prefix, idx + 1)
-            prefix.pop()
-
-    rec([], 0)
+    in lexicographic order: a pre-order walk of the prefix tree from one
+    stack, each prefix's extensions pushed largest part first."""
+    out: list[tuple[int, ...]] = []
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        prefix = stack.pop()
+        out.append(prefix)
+        if len(prefix) < len(bound):
+            hi = bound[len(prefix)] if not prefix else min(bound[len(prefix)], prefix[-1])
+            stack.extend(prefix + (h,) for h in range(hi, 0, -1))
     return out
-
-
-def _check_box(a: int, b: int, c: int) -> None:
-    if a < 1 or b < 1 or c < 1:
-        raise InvalidInput(f"box dimensions must be positive, got {a} x {b} x {c}")
 
 
 def count_diagrams(a: int, b: int, c: int) -> int:
@@ -52,29 +42,28 @@ def count_diagrams(a: int, b: int, c: int) -> int:
 
 
 def enumerate_diagrams(a: int, b: int, c: int) -> Iterator[Diagram]:
-    """All nonempty diagrams inside the box, in a deterministic order.
-
-    The box is checked when this is called, not when iteration starts.
-    """
+    """All nonempty diagrams inside the box, in a deterministic order; the
+    box is checked when this is called, not when iteration starts."""
     _check_box(a, b, c)
     return _enumerate(a, b, c)
 
 
 def _enumerate(a: int, b: int, c: int) -> Iterator[Diagram]:
-    tops = [p for p in subpartitions((c,) * b) if p]
-
-    def rec(layers: list[tuple[int, ...]]) -> Iterator[Diagram]:
-        yield Diagram(tuple(layers))
-        if len(layers) == a:
-            return
-        for nxt in subpartitions(layers[-1]):
-            if nxt:
-                layers.append(nxt)
-                yield from rec(layers)
-                layers.pop()
-
-    for top in tops:
-        yield from rec([top])
+    """Pre-order walk of the layer chains from one stack, from the empty
+    chain under the box's full layer: each chain, then its extensions by one
+    nonempty sub-partition of its top layer in lexicographic order.  Each
+    top layer's sub-partitions are listed once."""
+    below: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    stack: list[tuple[tuple[int, ...], ...]] = [()]
+    while stack:
+        layers = stack.pop()
+        if layers:
+            yield Diagram(layers)
+        if len(layers) < a:
+            top = layers[-1] if layers else (c,) * b
+            if top not in below:
+                below[top] = [p for p in subpartitions(top) if p]
+            stack.extend(layers + (p,) for p in reversed(below[top]))
 
 
 def sample_diagrams(a: int, b: int, c: int, count: int, seed: int = 0) -> list[Diagram]:

@@ -378,6 +378,12 @@ class TestInternalErrors:
         assert code == 4
         assert "too deep" in out.err and not out.out
 
+    def test_oracle_recursion_exits_four(self, capsys):
+        # the facet oracle searches a long chain one frame per vertex
+        code, out, err = run(capsys, "oracle", '{"layers": [[1200]]}', "--limit", "2000")
+        assert code == 4 and not out
+        assert "too deep" in err and "engine" not in err
+
     def test_tall_box_needs_no_recursion(self, capsys):
         # one layer step per loop iteration: 400 layers at the default limit
         code, out, _ = run(capsys, "invariants", json.dumps({"layers": [[1]] * 400}))

@@ -250,6 +250,13 @@ class TestReduction:
         # a set cannot tell these bools from the 1s on their axes
         (from_points, [(1, 1, 1), (True, 1, 2)]),
         (from_points, [(1, 1, 2), (True, 1, 2)]),
+        # generators go through the same check
+        (from_generators, [(True, 1, 1)]),
+        (from_generators, [(1.5, 1, 1)]),
+        (from_generators, [(1, 2)]),
+        (from_generators, [5]),
+        (from_generators, 5),
+        (from_points, 5),
     ])
     def test_non_integer_coordinates_rejected(self, build, pts):
         with pytest.raises(InvalidInput):
@@ -480,10 +487,11 @@ def test_box_count_is_invariant_under_axis_permutations():
         assert len(counts) == 1, dims
 
 
-@pytest.mark.parametrize("dims", [(0, 2, 2), (2, 0, 2), (2, 2, -1)])
+@pytest.mark.parametrize("dims", [(0, 2, 2), (2, 0, 2), (2, 2, -1), (2, 2, 2.5), (True, 2, 2),
+                                  ("2", 2, 2)])
 def test_nonpositive_box_rejected(dims):
     # enumeration checks the box when called, before any iteration
-    for family in (count_diagrams, enumerate_diagrams):
+    for family in (box, count_diagrams, enumerate_diagrams):
         with pytest.raises(InvalidInput):
             family(*dims)
     with pytest.raises(InvalidInput):
