@@ -104,14 +104,14 @@ def _agrees(report: oracle.InvariantsReport, check: oracle.InvariantsReport | No
 
 def _box_diagrams(box, limit: int, hint: str = "", sample: int | None = None, seed: int = 0):
     """A seeded sample of the diagrams inside the box, or all of them; a
-    box holding more than ``limit`` exits 4 unless sampled."""
+    sample or a box larger than ``limit`` exits 4 before anything is built."""
     a, b, c = box
+    total = families.count_diagrams(a, b, c) if sample is None else sample
+    if total > limit:
+        what = "the sample draws" if sample is not None else "the box holds"
+        raise _CliFailure(EXIT_UNSUPPORTED, f"{what} {total} diagrams, above the limit {limit}{hint}")
     if sample is not None:
         return families.sample_diagrams(a, b, c, sample, seed=seed)
-    total = families.count_diagrams(a, b, c)
-    if total > limit:
-        message = f"the box holds {total} diagrams, above the limit {limit}{hint}"
-        raise _CliFailure(EXIT_UNSUPPORTED, message)
     return families.enumerate_diagrams(a, b, c)
 
 
@@ -164,7 +164,7 @@ def _bounds_json(diagram: Diagram) -> dict:
 
 def _cmd_invariants(args) -> int:
     diagram = _load_diagram(args.diagram)
-    engine = Engine(cache_cap=args.cache_cap)
+    engine = Engine()
     pp = has_projection_property(diagram)
     report: dict = {
         "input": diagram_to_json(diagram),
@@ -333,24 +333,26 @@ def _sweep_row(diagram: Diagram, engine: Engine, use_oracle: bool, facet_limit: 
 
 def _cmd_sweep(args) -> int:
     keep = {"pp": has_projection_property, "spp": has_strong_projection_property}.get(args.filter)
-    diagrams = _box_diagrams(args.box, args.limit, "; raise --limit or use --sample",
-                             args.sample, args.seed)
-    engine = Engine(cache_cap=args.cache_cap)
+    hint = "; raise --limit" if args.sample else "; raise --limit or use --sample"
+    diagrams = _box_diagrams(args.box, args.limit, hint, args.sample, args.seed)
+    engine = Engine()
     rows = []
-    eligible = []  # (diagram without the engine's point caches, row) under --pairs
+    # one (diagram without the engine's point caches, row) per distinct
+    # diagram under --pairs, so that repeated draws of a sample count once
+    eligible = {}
     for d in diagrams:
         if keep is None or keep(d):
             row = _sweep_row(d, engine, args.oracle, args.facet_limit)
             rows.append(row)
             if args.pairs and row["spp"] and row["source"] == "engine":
-                eligible.append((Diagram(d.layers), row))
+                eligible.setdefault(d.layers, (Diagram(d.layers), row))
     disagree = any(row.get("oracle_agree") is False for row in rows)
 
     if args.pairs:
         violations = []
         checked = 0
-        for small, small_row in eligible:
-            for big, big_row in eligible:
+        for small, small_row in eligible.values():
+            for big, big_row in eligible.values():
                 if small is big or not small.issubset(big):
                     continue
                 checked += 1
@@ -378,7 +380,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    engine = Engine(cache_cap=args.cache_cap)
+    engine = Engine()
     candidates = []
     checked = 0
     disagree = False
@@ -468,7 +470,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", choices=["induction", "lex"], default="induction")
     p.add_argument("--limit", type=_at_least(1), default=oracle.DEFAULT_FACET_LIMIT,
                    help="facet oracle vertex limit")
-    p.add_argument("--cache-cap", type=_at_least(1), default=None, help="memo cache size cap")
     p.set_defaults(func=_cmd_invariants)
 
     p = sub.add_parser("gens", help="monomial generators and 2-minors as JSON")
@@ -495,18 +496,16 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="check monotonicity over nested strong-projection pairs")
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--limit", type=_at_least(1), default=20000, help="maximum diagrams to enumerate")
+    p.add_argument("--limit", type=_at_least(1), default=20000, help="maximum diagrams to enumerate or sample")
     p.add_argument("--facet-limit", type=_at_least(1), default=oracle.DEFAULT_FACET_LIMIT)
     p.add_argument("--sample", type=_at_least(1), default=None, help="random sample instead of enumeration")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cache-cap", type=_at_least(1), default=None)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("search", help="hunt for multiplicity-above-box counterexamples")
     p.add_argument("--box", type=_at_least(1), nargs=3, required=True, metavar=("A", "B", "C"))
     p.add_argument("--limit", type=_at_least(1), default=20000)
     p.add_argument("--facet-limit", type=_at_least(1), default=oracle.DEFAULT_FACET_LIMIT)
-    p.add_argument("--cache-cap", type=_at_least(1), default=None)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("gb-check", help="bounded-degree binomial reduction check")

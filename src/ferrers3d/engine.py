@@ -38,7 +38,6 @@ one array, a few bytes per point.
 from __future__ import annotations
 
 from array import array
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -174,33 +173,14 @@ def canonical_key(s: SuffixState):
 class Engine:
     """Memoized evaluator for suffix states.
 
-    ``cache_cap`` bounds the memo (LRU eviction, None means unbounded).
-
-    An ``Engine`` must not be shared between threads: the memo and the
-    statistics are updated without a lock, and with ``cache_cap`` set one
-    thread's eviction can remove an entry between another thread's lookup
-    and its reordering.
+    The memo is unbounded and lives as long as the ``Engine``.  An
+    ``Engine`` must not be shared between threads: the memo and the
+    statistics are updated without a lock.
     """
 
-    def __init__(self, cache_cap: int | None = None):
-        self.cache_cap = cache_cap
-        self._memo: OrderedDict = OrderedDict()
+    def __init__(self):
+        self._memo: dict = {}
         self.stats = {"states": 0, "cache_hits": 0, "link_checks": 0}
-
-    # -- memo -----------------------------------------------------------------
-
-    def _get(self, key):
-        val = self._memo.get(key)
-        if val is not None:
-            self.stats["cache_hits"] += 1
-            if self.cache_cap is not None:
-                self._memo.move_to_end(key)
-        return val
-
-    def _put(self, key, val):
-        self._memo[key] = val
-        if self.cache_cap is not None and len(self._memo) > self.cache_cap:
-            self._memo.popitem(last=False)
 
     # -- public entry points ----------------------------------------------------
 
@@ -234,8 +214,9 @@ class Engine:
         cur = s
         while True:
             key = canonical_key(cur)
-            base = self._get(key)
+            base = self._memo.get(key)
             if base is not None:
+                self.stats["cache_hits"] += 1
                 break
             if isinstance(cur.start, _Sentinel):
                 chain.append((key, None))
@@ -258,7 +239,7 @@ class Engine:
                     lreg, lmult = self.suffix_invariants(self.link_state(st))
                     reg, mult = base
                     base = (max(reg, lreg + 1), mult + lmult)
-            self._put(key, base)
+            self._memo[key] = base
         return base
 
     # -- internals ---------------------------------------------------------------

@@ -219,6 +219,20 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--box", "4", "4", "4", "--limit", "100")
         assert code == 4 and "232847" in err
 
+    def test_sample_limit_guard(self, capsys):
+        # a sample is bounded by --limit as an enumeration is
+        code, out, err = run(capsys, "sweep", "--box", "2", "2", "2", "--sample", "50", "--limit", "10")
+        assert code == 4 and not out
+        assert "50" in err and "limit 10" in err
+
+    def test_pairs_count_distinct_sampled_diagrams(self, capsys):
+        # 28 rows of 9 distinct SPP diagrams, which hold 22 nested pairs
+        code, out, _ = run(capsys, "sweep", "--box", "2", "2", "2", "--filter", "spp", "--pairs",
+                           "--sample", "30", "--seed", "1")
+        data = json.loads(out)
+        assert code == 0
+        assert (data["diagrams"], data["nested_pairs_checked"]) == (28, 22)
+
     def test_sampling_is_seeded(self, capsys):
         _, out1, _ = run(capsys, "sweep", "--box", "3", "3", "3", "--sample", "5", "--seed", "9")
         _, out2, _ = run(capsys, "sweep", "--box", "3", "3", "3", "--sample", "5", "--seed", "9")
@@ -304,9 +318,6 @@ class TestNumberGuards:
         ("search", "--box", "2", "2", "-1"),
         ("sweep", "--box", "2", "2", "2", "--sample", "-4"),
         ("sweep", "--box", "2", "2", "2", "--sample", "0"),
-        ("invariants", BOX222, "--cache-cap", "-3"),
-        ("invariants", BOX222, "--cache-cap", "0"),
-        ("sweep", "--box", "2", "2", "2", "--cache-cap", "0"),
         ("sweep", "--box", "2", "2", "2", "--limit", "0"),
         ("invariants", BOX222, "--oracle", "--limit", "0"),
         ("oracle", BOX222, "--hilbert-degree", "-2"),
@@ -377,6 +388,18 @@ class TestInternalErrors:
         out = capsys.readouterr()
         assert code == 4
         assert "too deep" in out.err and not out.out
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100000 + "]" * 100000,
+        '{"layers": ' + "[" * 5000 + "]" * 5000 + "}",
+    ], ids=["bare", "layers"])
+    def test_json_nesting_exits_four(self, capsys, tmp_path, text):
+        # the JSON decoder recurses once per nesting level
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "check", f"@{path}")
+        assert code == 4 and not out
+        assert "too deep" in err and "Traceback" not in err
 
     def test_oracle_recursion_exits_four(self, capsys):
         # the facet oracle searches a long chain one frame per vertex

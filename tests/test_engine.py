@@ -279,23 +279,6 @@ class TestSymmetries:
                 )
 
 
-class TestCache:
-    def test_lru_cap(self):
-        eng = Engine(cache_cap=16)
-        for d in list(enumerate_diagrams(2, 2, 2))[:10]:
-            if has_projection_property(d):
-                eng.invariants(d)
-        assert len(eng._memo) <= 16
-
-    def test_results_stable_under_cap(self):
-        uncapped, capped = Engine(), Engine(cache_cap=8)
-        for d in enumerate_diagrams(2, 2, 2):
-            if not has_projection_property(d):
-                continue
-            a, b = uncapped.invariants(d), capped.invariants(d)
-            assert (a.reg, a.mult) == (b.reg, b.mult)
-
-
 class TestTraversal:
     """The engine's visit counts and memo size, recorded before the point
     caches and the once-per-state realized sets were introduced: a faster
