@@ -259,7 +259,11 @@ def _link_diagnostic(d1: Diagram, d2: Diagram, engine: Engine) -> list[dict]:
         if u not in d2:
             continue
         states = [SuffixState(d, u, INDUCTION) for d in (d1, d2)]
-        if not all(s.is_normal for s in states):
+        normal = []
+        for s in states:
+            with _internal_errors(s.host):  # the normality cross-check can fail
+                normal.append(s.is_normal)
+        if not all(normal):
             continue
         values = []
         for s in states:

@@ -18,28 +18,36 @@ exactly the literal link's edges.  A link that fails validation is an
 internal error and raises ``LinkMismatch`` instead of returning a silently
 wrong value.
 
-Work is shared rather than repeated.  Once per host diagram: its point
-tuple, its set of deep (x >= 2) points and, per order flavor, its sorted
-first layer (cached on the ``Diagram``), so stepping to the next state is an
-index step.  Once per state: its realized set (the host's deep points plus
-the start's suffix of the first-layer order) and its normality verdict
-(cached on the ``SuffixState``).  The canonical key, the normality test,
-link construction, link validation and the literal graph link all read
-that one set.  Each ``Engine`` owns its memo; there is no process-wide one.
+A state is read from column heights, not from point sets.  Its realized
+set is the host's deep (x >= 2) layers plus one k-interval per first-layer
+column, from one of three lower ends (``_run_starts``) up to the column's
+height, and the first-layer order is walked by arithmetic on the start: up
+the column, then on to the next one, and row by row in the induction
+order's stage two.  Normality is
+a closed-form neighbour test on the host's column heights: the start is
+normal exactly when one of three points is a neighbour of it in the host's
+leading-pair graph (``_column_test``).  On hosts within ``VALIDATE_LIMIT``
+that verdict is checked against ``minors.is_normal_in`` on the realized set,
+and a disagreement is an internal error.  The memo key is the flavor, the
+start, the intervals and the deep layers, with the values that the realized
+set lacks collapsed away, packed into one array of the narrowest unsigned
+type: its size follows the columns, not the points.  Each ``Engine`` owns
+its memo; there is no process-wide one.
 
-Links and keys avoid rebuilding point sets.  The zone pieces a link needs
-are cut from column slices of the host's point tuple, and the link host
-comes from one pass of ``reduce_points``, which ranks the ambient set's
-column heights directly.  A memo key packs each rank triple of the
-realized set into one integer and keeps the sorted codes as the bytes of
-one array, a few bytes per point.
+Point sets are built only where the definitions need them: link validation,
+the literal graph link and the small-host normality check.  The zone pieces
+a link needs are cut from column slices of the host's point tuple, and the
+link host comes from one pass of ``reduce_points``, which ranks the ambient
+set's column heights directly.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from . import minors
 from .diagram import (
@@ -55,7 +63,8 @@ from .diagram import (
 from .errors import InvalidInput, LinkMismatch, NotFerrers, NotNormal, TooLarge, UnsupportedDiagram
 from .oracle import InvariantsReport
 
-#: Largest host size whose links are also checked against the literal graph link.
+#: Largest host size whose links and normality verdicts are also checked
+#: against the literal point-set definitions.
 VALIDATE_LIMIT = 24
 
 
@@ -81,6 +90,8 @@ class SuffixState:
     def __post_init__(self):
         if self.flavor not in (INDUCTION, LEX):
             raise InvalidInput(f"unknown order flavor {self.flavor!r}")
+        if not isinstance(self.start, _Sentinel) and not (self.start[0] == 1 and self.start in self.host):
+            raise InvalidInput(f"{tuple(self.start)} is not a first-layer point of the host")
 
     @cached_property
     def realized(self) -> frozenset[Point]:
@@ -90,49 +101,111 @@ class SuffixState:
     @cached_property
     def is_normal(self) -> bool:
         """Whether the start is a normal point of the realized set; decided
-        once per state."""
-        return minors.is_normal_in(self.realized, self.start)
+        once per state by the column test, and checked against the
+        definition on hosts within ``VALIDATE_LIMIT``."""
+        verdict = _column_test(self)
+        if self.host.size <= VALIDATE_LIMIT and minors.is_normal_in(self.realized, self.start) != verdict:
+            raise RuntimeError(
+                f"the column test calls {tuple(self.start)} {'normal' if verdict else 'phantom'} "
+                f"in the {self.flavor} suffix of {self.host} and the definition does not; "
+                "this indicates an engine bug"
+            )
+        return verdict
 
 
 def _stage_two(host: Diagram, p: Point) -> bool:
     return p.k > host.layer_height(2)
 
 
-def _position(s: SuffixState) -> tuple[tuple[Point, ...], int]:
-    """The host's first-layer order and the start's position in it."""
-    order, rank = s.host.first_layer_order(s.flavor)
-    pos = rank.get(s.start)
-    if pos is None:
-        raise InvalidInput(f"{tuple(s.start)} is not a first-layer point of the host")
-    return order, pos
+def _column_test(s: SuffixState) -> bool:
+    """Whether the start u = (1, j0, k0) has a neighbour in the realized set,
+    in the host's leading-pair graph: the closed form of normality.
+
+    In a downward-closed host, points a <lex b form a leading pair exactly
+    when (x) i_a < i_b, (j_a, k_a) <lex (j_b, k_b) and (i_b, j_a, k_a) is in
+    the host; or (y) j_a < j_b, i_a < i_b or (i_a = i_b and k_a < k_b), and
+    (i_a, j_b, k_a) is in the host; or (z) k_a < k_b, (i_a, j_a) <lex
+    (i_b, j_b) and (i_a, j_a, k_b) is in the host.  The realized set holds
+    every deep point, no earlier first-layer point below row k0 (earlier
+    columns are empty, or start above c2 >= k0, or above k0) and, in every
+    flavor, the points (1, j, k0 + 1) of the later columns that reach them.
+    So u has a neighbour iff one of these does the job: (1, j0 + 1, k0 + 1)
+    by a z-swap, (2, j0 + 1, 1) by an x- or y-swap, or (2, 1, k0 + 1) by a
+    z-swap.
+    """
+    host, (_, j0, k0) = s.host, s.start
+    heights = host.layers[0]
+    after = heights[j0] if j0 < len(heights) else 0  # height of column j0 + 1
+    return (
+        k0 < after
+        or (j0 < host.layer_width(2) and k0 <= max(after, host.height(2, j0)))
+        or k0 < min(host.layer_height(2), heights[j0 - 1])
+    )
+
+
+def _run_starts(s: SuffixState) -> tuple[int, int]:
+    """The lowest k that the first-layer columns before and after the
+    start's column hold; each column's part of the realized set is one
+    k-interval from there to its height h(j), empty when it starts above.
+
+    With start (1, j0, k0) and c2 the height of layer 2, column j0 holds
+    [k0, h(j0)].  The lex order holds nothing before it and every later
+    column whole.  The induction order's stage one (k0 <= c2) holds the
+    stage-two part [c2 + 1, h(j)] of each earlier column and every later
+    column whole; its stage two (k0 > c2) holds the rows above k0 and the
+    rest of row k0, so earlier columns start at k0 + 1 and later ones at k0.
+    """
+    host, k0 = s.host, s.start.k
+    if s.flavor == LEX:
+        return host.c + 1, 1
+    if _stage_two(host, s.start):
+        return k0 + 1, k0
+    return host.layer_height(2) + 1, 1
 
 
 def realized_set(s: SuffixState) -> frozenset[Point]:
-    """The point set the state denotes: the host's deep points plus the
-    start's suffix of the first-layer order."""
+    """The point set the state denotes: the host's deep points plus each
+    first-layer column's interval, cut as three runs of column slices."""
+    host = s.host
     if isinstance(s.start, _Sentinel):
-        return s.host.deep_points
-    order, pos = _position(s)
-    return s.host.deep_points.union(order[pos:])
+        return host.deep_points
+    (_, j0, k0), (before, after) = s.start, _run_starts(s)
+    return host.deep_points.union(host.box_points((1, 1, before), (1, j0 - 1, host.c)),
+                                  host.box_points((1, j0, k0), (1, j0, host.c)),
+                                  host.box_points((1, j0 + 1, after), (1, host.b, host.c)))
 
 
 def _successor(s: SuffixState) -> SuffixState:
-    order, pos = _position(s)
-    nxt = order[pos + 1] if pos + 1 < len(order) else PAST_LAYER_1
-    return SuffixState(s.host, nxt, s.flavor)
+    """The state one step later in the host's first-layer order: up the
+    column, then on to the next column.  The induction order walks columns
+    up to c2 (stage one), then the rows above c2 one by one (stage two)."""
+    heights, (_, j, k) = s.host.layers[0], s.start
+    c2 = s.host.layer_height(2)
+    if s.flavor == INDUCTION and k > c2:
+        j, k = (j + 1, k) if j < len(heights) and heights[j] >= k else (1, k + 1)
+    elif k < (heights[j - 1] if s.flavor == LEX else min(heights[j - 1], c2)):
+        k += 1
+    elif j < len(heights):
+        j, k = j + 1, 1
+    elif s.flavor == LEX:
+        return SuffixState(s.host, PAST_LAYER_1, LEX)
+    else:
+        j, k = 1, c2 + 1  # on to stage two
+    start = Point(1, j, k) if k <= heights[j - 1] else PAST_LAYER_1
+    return SuffixState(s.host, start, s.flavor)
 
 
 def _flip_state(s: SuffixState) -> SuffixState:
     return SuffixState(s.host.flip(), s.start.flip(), LEX)
 
 
-#: Per field width w, the narrowest unsigned array type with 3w bits.
-_KEY_TYPECODES = tuple(
-    next(code for code in "BHIQ" if 8 * array(code).itemsize >= 3 * w) for w in range(22)
-)
+#: The unsigned array types a key may use, narrowest first.
+_KEY_TYPECODES = "BHIQ"
+
+_FLAVOR_CODES = {INDUCTION: 0, LEX: 1}
 
 
-def canonical_key(s: SuffixState):
+def canonical_key(s: SuffixState) -> bytes:
     """Memoization key: the realized set with every axis collapsed to its
     rank, plus the relabeled start and the flavor.
 
@@ -140,34 +213,55 @@ def canonical_key(s: SuffixState):
     beta/gamma of the current start and all zone memberships are functions
     of it), so states sharing this key share their value.
 
-    A point with ranks (ri, rj, rk) is packed as the integer
-    ``(ri << 2w) | (rj << w) | rk``, where the field width ``w`` is the bit
-    length of the largest rank.  The key holds the sorted codes as the bytes
-    of one array of the narrowest fitting item size, so it grows by one to
-    eight bytes per point; ``w`` and the start, packed the same way, are part
-    of the key, which makes equal keys mean equal collapsed sets.
+    The collapse is read from the columns.  Layer 2 holds every j up to b2
+    and every k up to c2, so the deep layers never change and only
+    first-layer values past them can be missing: the columns past b2 whose
+    interval is empty are dropped, and the k values past c2 that no interval
+    covers are ranked away.  The key is the flavor, the start's (j, k), the
+    number of columns, each column's interval ((0, 0) when empty) and each
+    deep layer as its width and heights; the start is (0, 0) and there are
+    no columns for the sentinel.  These values are the items of one array of
+    the narrowest fitting unsigned type, whose code leads the key, so equal
+    keys mean equal collapsed sets.
     """
-    pts = s.realized
-    if not pts:
-        return (0, "past", s.flavor, b"")
-    ivals, jvals, kvals = map(sorted, map(set, zip(*pts)))
-    n = max(len(ivals), len(jvals), len(kvals))
-    w = n.bit_length()
-    if w >= len(_KEY_TYPECODES):
-        raise TooLarge(f"a state key packs at most {2 ** (len(_KEY_TYPECODES) - 1) - 1} "
-                       f"values per axis, this state has {n}")
-    # each value's rank, already shifted into its field
-    imap, jmap, kmap = (
-        dict(zip(values, range(1 << shift, (len(values) + 1) << shift, 1 << shift)))
-        for values, shift in ((ivals, 2 * w), (jvals, w), (kvals, 0))
-    )
-    codes = [imap[i] | jmap[j] | kmap[k] for i, j, k in pts]
-    codes.sort()
+    host = s.host
     if isinstance(s.start, _Sentinel):
-        start = "past"
+        values = [_FLAVOR_CODES[s.flavor], 0, 0, 0]
     else:
-        start = imap[s.start.i] | jmap[s.start.j] | kmap[s.start.k]
-    return (w, start, s.flavor, array(_KEY_TYPECODES[w], codes).tobytes())
+        heights, (_, j0, k0) = host.layers[0], s.start
+        b2, c2 = host.layer_width(2), host.layer_height(2)
+        before, after = _run_starts(s)
+        runs = ((before, heights[:j0 - 1]), (k0, heights[j0 - 1:j0]), (after, heights[j0:]))
+        cols: list[int] = []  # lo, hi of each kept column
+        for run, (lo, hs) in enumerate(runs):
+            for h in hs:
+                if h >= lo:
+                    cols += (lo, h)
+                elif len(cols) < 2 * b2:
+                    cols += (0, 0)
+            if run == 1:
+                rj0 = len(cols) // 2
+        # Each run's nonempty columns lead it, so what a run covers past c2
+        # is its first column's interval cut at c2.  A gap between the
+        # covered pieces shifts every later k down by its length.
+        pieces = sorted((max(lo, c2 + 1), hs[0]) for lo, hs in runs if hs and hs[0] > max(lo - 1, c2))
+        starts, drops, top = [], [0], c2
+        for lo, hi in pieces:
+            if lo > top + 1:
+                starts.append(lo)
+                drops.append(drops[-1] + lo - top - 1)
+            top = max(top, hi)
+        if starts:
+            cols = [k - drops[bisect_right(starts, k)] for k in cols]
+        values = [_FLAVOR_CODES[s.flavor], rj0, cols[2 * rj0 - 2], len(cols) // 2, *cols]
+    for layer in host.layers[1:]:
+        values.append(len(layer))
+        values += layer
+    largest = max(values)
+    for code in _KEY_TYPECODES:
+        if largest >> 8 * array(code).itemsize == 0:
+            return code.encode() + array(code, values).tobytes()
+    raise TooLarge(f"a state key holds values up to {largest}, past the widest array type")
 
 
 class Engine:
@@ -326,7 +420,7 @@ def _first_state(diagram: Diagram, flavor: str) -> SuffixState:
     order when the diagram lacks the strong projection property."""
     if flavor == LEX and not has_strong_projection_property(diagram):
         flavor = INDUCTION
-    return SuffixState(diagram, diagram.first_layer_order(flavor)[0][0], flavor)
+    return SuffixState(diagram, Point(1, 1, 1), flavor)
 
 
 def _reduced_state(ambient, start, flavor):

@@ -440,6 +440,22 @@ class TestInternalErrors:
         assert str(error) in err
         assert json.dumps({"layers": [[3, 3, 2], [3, 3]]}) in err
 
+    def test_link_diagnostic_normality_error_exits_three(self, capsys, monkeypatch):
+        # the column test and the definition disagree on the first state the
+        # link diagnostic asks about
+        first, second = CLOSURE_JSON, json.dumps({"layers": [[3, 3, 3], [3, 3, 3]]})
+        reports = {}
+        for text in (first, second):
+            d = diagram_from_json(json.loads(text))
+            reports[d] = Engine().invariants(d)
+        monkeypatch.setattr(Engine, "invariants", lambda self, d, order="induction": reports[d])
+        original = engine._column_test
+        monkeypatch.setattr(engine, "_column_test", lambda s: not original(s))
+        code, out, err = run(capsys, "compare", first, second)
+        assert code == 3 and not out
+        assert "internal engine error: the column test calls" in err and "Traceback" not in err
+        assert json.dumps({"layers": [[3, 3, 2], [3, 3]]}) in err
+
     @pytest.mark.parametrize("name, argv, reproduction", [
         ("oracle_invariants", ("invariants", BOX222, "--oracle"), BOX222),
         ("hilbert_invariants", ("invariants", BOX222, "--hilbert"), BOX222),

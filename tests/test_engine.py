@@ -1,3 +1,5 @@
+from array import array
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -18,8 +20,10 @@ from ferrers3d.engine import (
     INDUCTION,
     LEX,
     PAST_LAYER_1,
+    VALIDATE_LIMIT,
     Engine,
     SuffixState,
+    _column_test,
     _successor,
     canonical_key,
     realized_set,
@@ -138,10 +142,12 @@ class TestLinkState:
         with pytest.raises(NotNormal):
             engine.link_state(s)
 
-    def test_start_outside_first_layer_rejected(self, engine):
-        s = SuffixState(box(2, 2, 1), Point(2, 1, 1), INDUCTION)
-        with pytest.raises(InvalidInput):
-            engine.suffix_invariants(s)
+    @pytest.mark.parametrize("host, start", [(box(2, 2, 1), Point(2, 1, 1)),
+                                             (box(2, 2, 2), Point(1, 5, 5))])
+    def test_start_outside_first_layer_rejected(self, host, start):
+        # the state is refused when it is built, before any evaluation
+        with pytest.raises(InvalidInput, match="not a first-layer point"):
+            SuffixState(host, start, INDUCTION)
 
     def test_links_validate_everywhere(self):
         # a link failing validation raises LinkMismatch; lex runs on the
@@ -169,34 +175,51 @@ def reference_key(s):
     return (rel, start, s.flavor)
 
 
+def sampled_pp(count, seed):
+    """``count`` projection-property diagrams of [4]^3, sampled with the seed."""
+    pp = (d for d in sample_diagrams(4, 4, 4, 4 * count, seed=seed) if has_projection_property(d))
+    out = [d for _, d in zip(range(count), pp)]
+    assert len(out) == count
+    return out
+
+
+def all_states(diagrams):
+    """Every suffix state of the diagrams: each first-layer start and the
+    sentinel, both flavors."""
+    return [SuffixState(d, start, flavor)
+            for d in diagrams
+            for flavor in (INDUCTION, LEX)
+            for start in d.layer_points(1) + (PAST_LAYER_1,)]
+
+
 class TestCanonicalKey:
     def test_same_classes_as_the_reference(self):
-        # every suffix state of every [3]^3 PP diagram, both flavors
-        states = [
-            SuffixState(d, start, flavor)
-            for d in enumerate_diagrams(3, 3, 3) if has_projection_property(d)
-            for flavor in (INDUCTION, LEX)
-            for start in d.layer_points(1) + (PAST_LAYER_1,)
-        ]
+        # every suffix state of every [3]^3 PP diagram and of 300 sampled
+        # [4]^3 PP diagrams, both flavors
+        small = [d for d in enumerate_diagrams(3, 3, 3) if has_projection_property(d)]
+        states = all_states(small + sampled_pp(300, seed=16))
         pairs = {(canonical_key(s), reference_key(s)) for s in states}
         assert len(pairs) == len({k for k, _ in pairs}) == len({r for _, r in pairs})
         assert len(pairs) < len(states)  # some states do share a key
 
-    def test_key_is_linear_in_the_realized_set(self):
-        # a tripod with 300-point arms: 4-byte codes, not a 300^3 bitmask
-        tripod = validate([[300] + [1] * 299] + [[1]] * 299)
-        s = SuffixState(tripod, PAST_LAYER_1, INDUCTION)
-        w, start, flavor, codes = canonical_key(s)
-        assert (w, start, flavor) == (9, "past", INDUCTION)
-        assert len(codes) == 4 * len(s.realized) == 4 * 299
+    def test_key_grows_with_columns_not_points(self):
+        # one column of 1000 points: flavor, start, one interval, no deep layers
+        column = canonical_key(SuffixState(box(1, 1, 1000), Point(1, 1, 1), INDUCTION))
+        assert column == b"H" + array("H", [0, 1, 1, 1, 1, 1000]).tobytes()
+        assert len(canonical_key(SuffixState(box(1, 1, 300), Point(1, 1, 1), INDUCTION))) == len(column)
+        # 300 one-point columns: two values per column, not per point
+        row = canonical_key(SuffixState(box(1, 300, 1), Point(1, 1, 1), INDUCTION))
+        assert len(row) == 1 + 2 * (4 + 2 * 300)
+        # a deep layer adds its width and heights
+        deep = canonical_key(SuffixState(box(2, 300, 1), Point(1, 1, 1), INDUCTION))
+        assert len(deep) == len(row) + 2 * (1 + 300)
 
     def test_codes_wider_than_the_widest_array_type_are_refused(self, monkeypatch):
-        # with the table cut at w = 1, a state with 2 values on an axis
-        # (w = 2) stands for one with 2**21 values
-        monkeypatch.setattr(engine_module, "_KEY_TYPECODES", engine_module._KEY_TYPECODES[:2])
-        assert canonical_key(SuffixState(box(1, 1, 1), Point(1, 1, 1), INDUCTION))
+        # with only the one-byte type left, a key value of 256 does not fit
+        monkeypatch.setattr(engine_module, "_KEY_TYPECODES", "B")
+        assert canonical_key(SuffixState(box(1, 1, 255), Point(1, 1, 1), INDUCTION))
         with pytest.raises(TooLarge):
-            canonical_key(SuffixState(box(1, 1, 2), Point(1, 1, 1), INDUCTION))
+            canonical_key(SuffixState(box(1, 1, 256), Point(1, 1, 1), INDUCTION))
 
     def test_equal_states(self):
         s1 = SuffixState(box(2, 2, 2), Point(1, 1, 2), INDUCTION)
@@ -303,12 +326,21 @@ class TestTraversal:
         assert len(eng._memo) == memo_entries
 
     def test_one_normality_test_per_state(self, monkeypatch):
-        calls = []
-        original = minors.is_normal_in
-        monkeypatch.setattr(minors, "is_normal_in", lambda S, u: calls.append(u) or original(S, u))
+        # one column test per state, and the definition too on small hosts
+        column_tests, small, definitions = [], [], []
+        original_test, original_def = engine_module._column_test, minors.is_normal_in
+
+        def counted_test(s):
+            column_tests.append(s.start)
+            small.append(s.host.size <= VALIDATE_LIMIT)
+            return original_test(s)
+        monkeypatch.setattr(engine_module, "_column_test", counted_test)
+        monkeypatch.setattr(minors, "is_normal_in",
+                            lambda S, u: definitions.append(u) or original_def(S, u))
         eng = Engine()
         eng.invariants(validate([[5, 5, 5, 4, 1], [4, 4, 2]]))
-        assert len(calls) == eng.stats["states"]
+        assert len(column_tests) == eng.stats["states"]
+        assert 0 < len(definitions) == sum(small) < len(column_tests)
 
     def test_layer_step_is_the_reduced_deep_set(self):
         # the engine steps past layer 1 by slicing off the first layer
@@ -334,6 +366,64 @@ class TestTraversal:
                     walked.append(s.start)
                     s = _successor(s)
                 assert walked == sorted(first, key=key)
+
+
+def rule_edges(points):
+    """The leading pairs by the three closed-form swap rules: for a <lex b
+    in a downward-closed set H, {a, b} leads a 2-minor iff (x) i_a < i_b,
+    (j_a, k_a) <lex (j_b, k_b) and (i_b, j_a, k_a) in H; or (y) j_a < j_b,
+    i_a < i_b or (i_a = i_b and k_a < k_b), and (i_a, j_b, k_a) in H; or
+    (z) k_a < k_b, (i_a, j_a) <lex (i_b, j_b) and (i_a, j_a, k_b) in H."""
+    host, edges = set(points), set()
+    for a in host:
+        for b in host:
+            if not a < b:
+                continue
+            x = a.i < b.i and (a.j, a.k) < (b.j, b.k) and (b.i, a.j, a.k) in host
+            y = a.j < b.j and (a.i < b.i or (a.i == b.i and a.k < b.k)) and (a.i, b.j, a.k) in host
+            z = a.k < b.k and (a.i, a.j) < (b.i, b.j) and (a.i, a.j, b.k) in host
+            if x or y or z:
+                edges.add(frozenset((a, b)))
+    return edges
+
+
+class TestColumnTest:
+    """The closed-form normality test against the definition."""
+
+    def test_swap_rules_are_the_leading_pairs(self):
+        for d in enumerate_diagrams(3, 3, 3):
+            assert rule_edges(d.points()) == minors.leading_edges(d.points())
+
+    @pytest.mark.parametrize("box_dims", [(3, 3, 3), (2, 4, 4), (1, 6, 6)])
+    def test_equals_the_definition_on_every_start(self, box_dims):
+        # every diagram of the box, projection property or not, and every
+        # first-layer start in both flavors, stage two included
+        seen = 0
+        for d in enumerate_diagrams(*box_dims):
+            for s in all_states([d]):
+                if s.start is not PAST_LAYER_1:
+                    seen += 1
+                    assert _column_test(s) == minors.is_normal_in(realized_set(s), s.start), s
+        assert seen > 1000
+
+    def test_equals_the_definition_on_reached_states(self, monkeypatch):
+        # the states and link hosts the engine reaches from sampled [4]^3
+        # diagrams, whatever their size
+        reached = []
+        original = engine_module._column_test
+        monkeypatch.setattr(engine_module, "_column_test", lambda s: reached.append(s) or original(s))
+        eng = Engine()
+        for d in sampled_pp(200, seed=5):
+            eng.invariants(d)
+        assert any(s.host.size > VALIDATE_LIMIT for s in reached)
+        assert sum(s.host.a > 1 for s in reached) > 100
+        for s in reached:
+            assert original(s) == minors.is_normal_in(realized_set(s), s.start), s
+
+    def test_a_disagreement_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "_column_test", lambda s: True)
+        with pytest.raises(RuntimeError, match="column test calls .* normal"):
+            Engine().invariants(box(2, 2, 1))
 
 
 @st.composite

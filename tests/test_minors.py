@@ -213,9 +213,8 @@ class TestClassification:
 
     def test_not_in_layer(self):
         # a suffix starts at a first-layer point
-        s = SuffixState(box(2, 2, 2), Point(2, 1, 1), LEX)
         with pytest.raises(InvalidInput):
-            s.is_normal
+            SuffixState(box(2, 2, 2), Point(2, 1, 1), LEX)
 
     def test_fast_path_agrees_with_definition(self):
         for d in [*enumerate_diagrams(2, 2, 3), *enumerate_diagrams(3, 3, 2)]:
