@@ -23,16 +23,16 @@ set is the host's deep (x >= 2) layers plus one k-interval per first-layer
 column, from one of three lower ends (``_run_starts``) up to the column's
 height, and the first-layer order is walked by arithmetic on the start: up
 the column, then on to the next one, and row by row in the induction
-order's stage two.  Normality is
-a closed-form neighbour test on the host's column heights: the start is
-normal exactly when one of three points is a neighbour of it in the host's
-leading-pair graph (``_column_test``).  On hosts within ``VALIDATE_LIMIT``
-that verdict is checked against ``minors.is_normal_in`` on the realized set,
-and a disagreement is an internal error.  The memo key is the flavor, the
-start, the intervals and the deep layers, with the values that the realized
-set lacks collapsed away, packed into one array of the narrowest unsigned
-type: its size follows the columns, not the points.  Each ``Engine`` owns
-its memo; there is no process-wide one.
+order's stage two.  Normality is a closed-form neighbour test on the host's
+column heights: the start is normal exactly when one of three points is a
+neighbour of it in the host's leading-pair graph (``_column_test``).  On
+hosts within ``VALIDATE_LIMIT`` that verdict is checked against
+``minors.is_normal_in`` on the realized set, and a disagreement is an
+internal error.  The memo key is the flavor, the start, the intervals and
+the deep layers, with the values that the realized set lacks collapsed
+away, packed into one array of the narrowest unsigned type: its size
+follows the columns, not the points.  Each ``Engine`` owns its memo; there
+is no process-wide one.
 
 Point sets are built only where the definitions need them: link validation,
 the literal graph link and the small-host normality check.  The zone pieces
@@ -47,7 +47,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate
 
 from . import minors
 from .diagram import (
@@ -125,13 +125,20 @@ def _column_test(s: SuffixState) -> bool:
     when (x) i_a < i_b, (j_a, k_a) <lex (j_b, k_b) and (i_b, j_a, k_a) is in
     the host; or (y) j_a < j_b, i_a < i_b or (i_a = i_b and k_a < k_b), and
     (i_a, j_b, k_a) is in the host; or (z) k_a < k_b, (i_a, j_a) <lex
-    (i_b, j_b) and (i_a, j_a, k_b) is in the host.  The realized set holds
-    every deep point, no earlier first-layer point below row k0 (earlier
-    columns are empty, or start above c2 >= k0, or above k0) and, in every
-    flavor, the points (1, j, k0 + 1) of the later columns that reach them.
-    So u has a neighbour iff one of these does the job: (1, j0 + 1, k0 + 1)
-    by a z-swap, (2, j0 + 1, 1) by an x- or y-swap, or (2, 1, k0 + 1) by a
-    z-swap.
+    (i_b, j_b) and (i_a, j_a, k_b) is in the host.
+
+    The realized set holds every deep point.  Its earlier first-layer
+    columns are empty or start above row k0 (above c2 >= k0 in stage one,
+    above k0 in stage two), so they hold no neighbour of u, which would have
+    to lie below and left of it.  Every other neighbour can be traded for
+    one of three points, which the realized set holds whenever they are in
+    the host:
+    - (1, j0 + 1, k0 + 1) by a z-swap, when column j0 + 1 rises above k0;
+      every neighbour in a later first-layer column lies above row k0;
+    - (2, j0 + 1, 1) by an x-swap when (2, j0, k0) is in the host, or by a
+      y-swap when (1, j0 + 1, k0) is;
+    - (2, 1, k0 + 1) by a z-swap, when layer 2 and column j0 rise above k0;
+      this also covers x-swaps with points of column j0 above row k0.
     """
     host, (_, j0, k0) = s.host, s.start
     heights = host.layers[0]
@@ -165,14 +172,16 @@ def _run_starts(s: SuffixState) -> tuple[int, int]:
 
 def realized_set(s: SuffixState) -> frozenset[Point]:
     """The point set the state denotes: the host's deep points plus each
-    first-layer column's interval, cut as three runs of column slices."""
+    first-layer column's interval, cut as a slice of the first layer."""
     host = s.host
     if isinstance(s.start, _Sentinel):
         return host.deep_points
+    heights, first = host.layers[0], host.layer_points(1)
     (_, j0, k0), (before, after) = s.start, _run_starts(s)
-    return host.deep_points.union(host.box_points((1, 1, before), (1, j0 - 1, host.c)),
-                                  host.box_points((1, j0, k0), (1, j0, host.c)),
-                                  host.box_points((1, j0 + 1, after), (1, host.b, host.c)))
+    lows = [before] * (j0 - 1) + [k0] + [after] * (len(heights) - j0)
+    # column j is first[end - h(j):end]; a slice that would start past its end is empty
+    return host.deep_points.union(*(first[end - h + lo - 1:end]
+                                    for lo, h, end in zip(lows, heights, accumulate(heights))))
 
 
 def _successor(s: SuffixState) -> SuffixState:
