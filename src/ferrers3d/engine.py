@@ -20,19 +20,12 @@ wrong value.
 
 A state is read from column heights, not from point sets.  Its realized
 set is the host's deep (x >= 2) layers plus one k-interval per first-layer
-column, from one of three lower ends (``_run_starts``) up to the column's
-height, and the first-layer order is walked by arithmetic on the start: up
-the column, then on to the next one, and row by row in the induction
-order's stage two.  Normality is a closed-form neighbour test on the host's
-column heights: the start is normal exactly when one of three points is a
-neighbour of it in the host's leading-pair graph (``_column_test``).  On
-hosts within ``VALIDATE_LIMIT`` that verdict is checked against
-``minors.is_normal_in`` on the realized set, and a disagreement is an
-internal error.  The memo key is the flavor, the start, the intervals and
-the deep layers, with the values that the realized set lacks collapsed
-away, packed into one array of the narrowest unsigned type: its size
-follows the columns, not the points.  Each ``Engine`` owns its memo; there
-is no process-wide one.
+column (``_run_starts``), and its successor is arithmetic on the start.
+Normality is a closed-form neighbour test (``_column_test``), checked
+against ``minors.is_normal_in`` on hosts within ``VALIDATE_LIMIT``.  The
+memo key packs the collapsed intervals and the deep layers into one array
+(``canonical_key``), so its size follows the columns, not the points.  Each
+``Engine`` owns its memo; there is no process-wide one.
 
 Point sets are built only where the definitions need them: link validation,
 the literal graph link and the small-host normality check.  The zone pieces
@@ -211,8 +204,6 @@ def _flip_state(s: SuffixState) -> SuffixState:
 #: The unsigned array types a key may use, narrowest first.
 _KEY_TYPECODES = "BHIQ"
 
-_FLAVOR_CODES = {INDUCTION: 0, LEX: 1}
-
 
 def canonical_key(s: SuffixState) -> bytes:
     """Memoization key: the realized set with every axis collapsed to its
@@ -226,16 +217,16 @@ def canonical_key(s: SuffixState) -> bytes:
     and every k up to c2, so the deep layers never change and only
     first-layer values past them can be missing: the columns past b2 whose
     interval is empty are dropped, and the k values past c2 that no interval
-    covers are ranked away.  The key is the flavor, the start's (j, k), the
-    number of columns, each column's interval ((0, 0) when empty) and each
-    deep layer as its width and heights; the start is (0, 0) and there are
-    no columns for the sentinel.  These values are the items of one array of
-    the narrowest fitting unsigned type, whose code leads the key, so equal
-    keys mean equal collapsed sets.
+    covers are ranked away.  The key is the flavor (1 for lex), the start's
+    (j, k), the number of columns, each column's interval ((0, 0) when
+    empty) and each deep layer as its width and heights; the start is (0, 0)
+    and there are no columns for the sentinel.  These values are the items
+    of one array of the narrowest fitting unsigned type, whose code leads
+    the key, so equal keys mean equal collapsed sets.
     """
-    host = s.host
+    host, flavor = s.host, int(s.flavor == LEX)
     if isinstance(s.start, _Sentinel):
-        values = [_FLAVOR_CODES[s.flavor], 0, 0, 0]
+        values = [flavor, 0, 0, 0]
     else:
         heights, (_, j0, k0) = host.layers[0], s.start
         b2, c2 = host.layer_width(2), host.layer_height(2)
@@ -253,7 +244,7 @@ def canonical_key(s: SuffixState) -> bytes:
         # Each run's nonempty columns lead it, so what a run covers past c2
         # is its first column's interval cut at c2.  A gap between the
         # covered pieces shifts every later k down by its length.
-        pieces = sorted((max(lo, c2 + 1), hs[0]) for lo, hs in runs if hs and hs[0] > max(lo - 1, c2))
+        pieces = sorted((max(lo, c2 + 1), hs[0]) for lo, hs in runs if hs and lo <= hs[0] and c2 < hs[0])
         starts, drops, top = [], [0], c2
         for lo, hi in pieces:
             if lo > top + 1:
@@ -262,7 +253,7 @@ def canonical_key(s: SuffixState) -> bytes:
             top = max(top, hi)
         if starts:
             cols = [k - drops[bisect_right(starts, k)] for k in cols]
-        values = [_FLAVOR_CODES[s.flavor], rj0, cols[2 * rj0 - 2], len(cols) // 2, *cols]
+        values = [flavor, rj0, cols[2 * rj0 - 2], len(cols) // 2, *cols]
     for layer in host.layers[1:]:
         values.append(len(layer))
         values += layer
