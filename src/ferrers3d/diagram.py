@@ -13,15 +13,19 @@ first layer, flips, reductions and plane profiles.
 
 A point set becomes a diagram through its column heights ``{(i, j): max k}``,
 read in one pass; it is downward closed exactly when those heights validate
-and hold as many points as the set.  Zones and other boxes of a diagram are
-cut from the cached point tuple one column slice at a time.
+and hold as many points as the set.  A set given as k-intervals per column
+is reduced the same way without its points (``reduce_columns``).  Zones and
+other boxes of a diagram are cut from the cached point tuple one column
+slice at a time.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, repeat
+from operator import gt
 from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidInput, NotFerrers, NotInDiagram
@@ -77,7 +81,7 @@ class Diagram:
 
     @property
     def size(self) -> int:
-        return sum(sum(layer) for layer in self.layers)
+        return sum(map(sum, self.layers))
 
     # -- membership and iteration -------------------------------------------
 
@@ -242,6 +246,8 @@ def validate(layers: Iterable[Iterable[int]]) -> Diagram:
     for i, layer in enumerate(rows, start=1):
         if not layer:
             raise InvalidInput(f"layer {i} is empty")
+        if set(map(type, layer)) == {int} and layer[-1] >= 1 and not any(map(gt, layer[1:], layer)):
+            continue  # ints, positive and falling: checked without a Python-level loop
         for j, h in enumerate(layer, start=1):
             if not _is_int(h) or h < 1:
                 raise NotFerrers(f"height at (i={i}, j={j}) is {h}, expected a positive integer")
@@ -254,6 +260,8 @@ def validate(layers: Iterable[Iterable[int]]) -> Diagram:
         below, above = rows[i - 1], rows[i]
         if len(above) > len(below):
             raise NotFerrers(f"layer {i + 1} is wider than layer {i}")
+        if not any(map(gt, above, below)):
+            continue
         for j, h in enumerate(above, start=1):
             if h > below[j - 1]:
                 raise NotFerrers(
@@ -393,6 +401,58 @@ def reduce_points(
     imap, jmap, kmap = (dict(zip(axis, range(1, len(axis) + 1))) for axis in values)
     heights = {(imap[i], jmap[j]): kmap[h] for (i, j), h in _column_heights(pts).items()}
     return _from_heights(heights, len(pts)), values
+
+
+def merge_intervals(intervals: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The union of closed integer intervals (lo, hi), as sorted disjoint
+    intervals with a gap between each two."""
+    out: list[tuple[int, int]] = []
+    for lo, hi in sorted(intervals):
+        if out and lo <= out[-1][1] + 1:
+            out[-1] = (out[-1][0], max(hi, out[-1][1]))
+        else:
+            out.append((lo, hi))
+    return tuple(out)
+
+
+#: A point set in column form: each layer i maps to its columns j,
+#: increasing, and to the k values of each column, as sorted disjoint
+#: intervals (lo, hi).
+Columns = dict[int, tuple[list[int], list[tuple[tuple[int, int], ...]]]]
+
+
+def reduce_columns(
+    layers: Columns,
+) -> tuple[Diagram, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+    """:func:`reduce_points` for a point set in column form, with no layer
+    or column empty.  The cost follows the columns and the distinct k
+    values, not the points.
+
+    The conditions are those of :func:`reduce_points`: each column's values
+    are a prefix of the sorted k values (their count is the rank of their
+    largest value, checked once per distinct column), each layer holds a
+    prefix of the sorted j values, and the ranked heights validate."""
+    if not layers:
+        raise InvalidInput("empty point set")
+    ivals = tuple(sorted(layers))
+    columns = [layers[i] for i in ivals]
+    # the layers hold prefixes of the j values exactly when they hold
+    # prefixes of the widest layer's
+    jvals = max((js for js, _ in columns), key=len)
+    shapes = set(chain.from_iterable(ivs for _, ivs in columns))
+    spans = next(iter(shapes)) if len(shapes) == 1 else merge_intervals(chain.from_iterable(shapes))
+    kvals = tuple(chain.from_iterable(range(lo, hi + 1) for lo, hi in spans))
+    tops = {}
+    for ivs in shapes:
+        tops[ivs] = bisect_right(kvals, ivs[-1][1])  # the rank of the largest value
+        if tops[ivs] != sum(hi - lo + 1 for lo, hi in ivs):
+            raise NotFerrers("point set is not downward closed")
+    rows = []
+    for js, ivs in columns:
+        if js != jvals[:len(js)]:
+            raise NotFerrers(f"layer {len(rows) + 1} has missing columns")
+        rows.append(tuple(map(tops.__getitem__, ivs)))
+    return validate(rows), (ivals, tuple(jvals), kvals)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,11 @@ stage-two flip and down the layers; only links recurse, so the stack depth
 grows with link nesting, not with the number of layers.
 
 Because the link re-expression is intricate, every constructed link state
-is validated against the zone formula, and (on small hosts) against the
-graph-level link itself: its leading edges, mapped back to the host, must be
-exactly the literal link's edges.  A link that fails validation is an
-internal error and raises ``LinkMismatch`` instead of returning a silently
-wrong value.
+is validated against the zone formula, column by column, and (on small
+hosts) against the graph-level link itself: its leading edges, mapped back
+to the host, must be exactly the literal link's edges.  A link that fails
+validation is an internal error and raises ``LinkMismatch`` instead of
+returning a silently wrong value.
 
 A state is read from column heights, not from point sets.  Its realized
 set is the host's deep (x >= 2) layers plus one k-interval per first-layer
@@ -27,11 +27,15 @@ memo key packs the collapsed intervals and the deep layers into one array
 (``canonical_key``), so its size follows the columns, not the points.  Each
 ``Engine`` owns its memo; there is no process-wide one.
 
-Point sets are built only where the definitions need them: link validation,
-the literal graph link and the small-host normality check.  The zone pieces
-a link needs are cut from column slices of the host's point tuple, and the
-link host comes from one pass of ``reduce_points``, which ranks the ambient
-set's column heights directly.
+Links are built from column heights too.  Each zone piece is a box of the
+host, a column range with a few k-intervals (``_zone_pieces``), so the
+ambient set of a link is a set of k-intervals per column, and
+``reduce_columns`` ranks them into the link host and its value maps.  The
+target check maps the link's columns back the same way.  On hosts within
+``VALIDATE_LIMIT`` the point-set construction stays as the reference: the
+ambient from ``zones`` and ``box_points``, reduced by ``reduce_points``,
+must give the same link.  Point sets are built only on those small hosts,
+for that reference, the literal graph link and the normality check.
 """
 
 from __future__ import annotations
@@ -40,16 +44,20 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import neg
 
 from . import minors
 from .diagram import (
     INDUCTION,
     LEX,
+    Columns,
     Diagram,
     Point,
     has_projection_property,
     has_strong_projection_property,
+    merge_intervals,
+    reduce_columns,
     reduce_points,
     zones,
 )
@@ -57,7 +65,8 @@ from .errors import InvalidInput, LinkMismatch, NotFerrers, NotNormal, TooLarge,
 from .oracle import InvariantsReport
 
 #: Largest host size whose links and normality verdicts are also checked
-#: against the literal point-set definitions.
+#: against the point-set definitions: the link's construction by ``zones``
+#: and ``reduce_points``, its literal graph link, and ``is_normal_in``.
 VALIDATE_LIMIT = 24
 
 
@@ -74,7 +83,9 @@ PAST_LAYER_1 = _Sentinel()
 class SuffixState:
     """A diagram together with a first-layer start point (or the past-layer
     sentinel) and an order flavor.  It denotes the sub-collection formed by
-    the start's order suffix within layer 1 plus all deeper layers."""
+    the start's order suffix within layer 1 plus all deeper layers.  A start
+    given as a tuple or list of three ints is stored as a ``Point``; any
+    other start raises ``InvalidInput``."""
 
     host: Diagram
     start: "Point | _Sentinel"
@@ -83,8 +94,17 @@ class SuffixState:
     def __post_init__(self):
         if self.flavor not in (INDUCTION, LEX):
             raise InvalidInput(f"unknown order flavor {self.flavor!r}")
-        if not isinstance(self.start, _Sentinel) and not (self.start[0] == 1 and self.start in self.host):
-            raise InvalidInput(f"{tuple(self.start)} is not a first-layer point of the host")
+        start = self.start
+        if isinstance(start, _Sentinel):
+            return
+        # a bool or a float is not an int here, though True == 1 == 1.0
+        if not (isinstance(start, (tuple, list)) and len(start) == 3
+                and type(start[0]) is type(start[1]) is type(start[2]) is int):
+            raise InvalidInput(f"the start {start!r} is neither a triple of integers nor PAST_LAYER_1")
+        if not (start[0] == 1 and start in self.host):
+            raise InvalidInput(f"{tuple(start)} is not a first-layer point of the host")
+        if type(start) is not Point:
+            object.__setattr__(self, "start", Point(*start))
 
     @cached_property
     def realized(self) -> frozenset[Point]:
@@ -170,11 +190,16 @@ def realized_set(s: SuffixState) -> frozenset[Point]:
     if isinstance(s.start, _Sentinel):
         return host.deep_points
     heights, first = host.layers[0], host.layer_points(1)
-    (_, j0, k0), (before, after) = s.start, _run_starts(s)
-    lows = [before] * (j0 - 1) + [k0] + [after] * (len(heights) - j0)
     # column j is first[end - h(j):end]; a slice that would start past its end is empty
+    lows = _first_layer_lows(s)
     return host.deep_points.union(*(first[end - h + lo - 1:end]
                                     for lo, h, end in zip(lows, heights, accumulate(heights))))
+
+
+def _first_layer_lows(s: SuffixState) -> list[int]:
+    """The lower end of each first-layer column's interval, start included."""
+    (_, j0, k0), (before, after) = s.start, _run_starts(s)
+    return [before] * (j0 - 1) + [k0] + [after] * (len(s.host.layers[0]) - j0)
 
 
 def _successor(s: SuffixState) -> SuffixState:
@@ -342,10 +367,13 @@ class Engine:
         """Re-express the link of the start vertex as a validated suffix
         state of a smaller diagram.
 
-        The returned state realizes the zone-formula target set of the
-        start; validation checks that realization exactly, that the new host
-        is a projection-property diagram, and (on hosts within the
-        validation limit) that the state's leading edges, mapped back to the
+        The link is built from the zone pieces in column form
+        (``_piece_columns``, ``reduce_columns``).  On hosts within
+        ``VALIDATE_LIMIT`` it must equal the point-set construction
+        (``_point_link``).  Validation checks
+        that the new host is a projection-property diagram, that the state
+        realizes the zone-formula target exactly, column by column, and (on
+        hosts within the limit) that its leading edges, mapped back to the
         host, are exactly the edges of the literal graph link.  A link that
         fails validation, or that no zone-formula construction covers, is an
         internal error and raises ``LinkMismatch``.
@@ -357,57 +385,25 @@ class Engine:
         if s.flavor == INDUCTION and _stage_two(s.host, s.start):
             return self.link_state(_flip_state(s))
 
-        host, u = s.host, s.start
-        zm = zones(host, u)
-        gamma = host.height(1, u.j)
-        a, b, c = host.a, host.b, host.c
-
-        def cut(i0, i1, j0, j1, k0, k1) -> list[Point]:
-            return host.box_points((i0, j0, k0), (i1, j1, k1))
-
-        z1_deep = cut(2, a, 1, u.j, gamma + 1, c)
-        z3_deep = cut(2, a, 1, u.j, 1, u.k)
-        # zones 5 and 6 on layer 1 (columns past beta are lower than u.k)
-        side = cut(1, 1, u.j + 1, b, 1, u.k)
-
-        if s.flavor == INDUCTION:
-            c2 = host.layer_height(2)
-            high_top = cut(1, 1, 1, u.j, c2 + 1, c)
-            target = set(z1_deep + z3_deep + side + high_top)
-            ambient = zm.z3.union(side, cut(1, a, 1, u.j, min(gamma, c2) + 1, c))
-            start = u
-        else:
-            b2 = host.layer_width(2)
-            if u.j > b2:
-                target = set(z1_deep + z3_deep + side)
-                if side:
-                    left = cut(1, a, 1, u.j - 1, gamma + 1, c) + cut(1, a, 1, u.j - 1, 1, u.k)
-                    ambient = set(left + side)
-                    start = Point(1, u.j + 1, 1)
-                else:
-                    ambient, start = target, None
-            else:
-                if z1_deep:
-                    raise _mismatch(s, "has no zone-formula construction")
-                target = set(z3_deep + side)
-                ambient = zm.z3.union(side)
-                start = side[0] if side else PAST_LAYER_1
-
+        target, ambient, start = _zone_pieces(s)
         try:
-            state, values = _reduced_state(ambient, start, s.flavor)
+            columns = _piece_columns(s.host, ambient)
+            link = _reduced_state(*reduce_columns(columns), start, s.flavor)
+            reference = _point_link(s, ambient, start) if s.host.size <= VALIDATE_LIMIT else link
         except (NotFerrers, InvalidInput, ValueError) as exc:
             raise _mismatch(s, f"cannot be built from its ambient set ({exc})") from exc
+        if reference != link:
+            raise _mismatch(s, "differs from its point-set construction")
+        state, values = link
         if s.flavor == INDUCTION:
             state = _successor(state)  # the link starts right after u
-        self._validate_link(s, state, values, target)
+        self._validate_link(s, state, values, columns, target)
         return state
 
-    def _validate_link(self, s, link, values, target) -> None:
+    def _validate_link(self, s, link, values, columns, target) -> None:
         if not has_projection_property(link.host):
             raise _mismatch(s, "has a host without the projection property")
-        ivals, jvals, kvals = values
-        back = {(ivals[i - 1], jvals[j - 1], kvals[k - 1]) for i, j, k in link.realized}
-        if back != target:
+        if _back_columns(link, values, columns) != _piece_columns(s.host, target):
             raise _mismatch(s, "does not realize the zone-formula target")
         if s.host.size <= VALIDATE_LIMIT:
             self.stats["link_checks"] += 1
@@ -423,24 +419,108 @@ def _first_state(diagram: Diagram, flavor: str) -> SuffixState:
     return SuffixState(diagram, Point(1, 1, 1), flavor)
 
 
-def _reduced_state(ambient, start, flavor):
-    """The suffix state over an ambient point set with its empty slices
-    collapsed, together with the sorted original values per axis, which map
-    reduced coordinates back to ambient ones.
+def _zone_pieces(s: SuffixState):
+    """The zone-formula target and the ambient set of the start's link, as
+    lists of pieces of the host, and the link's start in the ambient: a
+    point, ``PAST_LAYER_1``, or None for the whole reduced ambient.
 
-    ``start`` is a first-layer point of the ambient, ``PAST_LAYER_1``, or
-    None for the whole reduced diagram.  Raises ``NotFerrers`` or
-    ``InvalidInput`` when the ambient does not collapse to a Ferrers diagram,
-    and ``ValueError`` when the start is not in it.
+    A piece (i0, i1, j0, j1, rows) holds the rows in ``rows``, sorted
+    (k0, k1) intervals, of every host column in i0..i1 x j0..j1; the pieces
+    of one list cover disjoint columns.  With u = (1, j, k) and gamma the
+    height of its column, zone 3 is the rows up to k of columns up to j, the
+    rows above gamma there are zone 1, and zones 5 and 6 on layer 1 are the
+    rows up to k of the later columns (columns past beta are lower than k).
     """
-    red, values = reduce_points(ambient)
+    host, u = s.host, s.start
+    a, b, c = host.a, host.b, host.c
+    gamma, c2 = host.height(1, u.j), host.layer_height(2)
+    z3, z1 = (1, u.k), (gamma + 1, c)
+    side = (1, 1, u.j + 1, b, (z3,))  # no columns when u is in the last one
+    if s.flavor == INDUCTION:
+        target = [(2, a, 1, u.j, (z3, z1)), (1, 1, 1, u.j, ((c2 + 1, c),)), side]
+        return target, [(1, a, 1, u.j, (z3, (min(gamma, c2) + 1, c))), side], u
+    if u.j > host.layer_width(2):
+        target = [(2, a, 1, u.j, (z3, z1)), side]
+        if u.j == b:
+            return target, target, None
+        return target, [(1, a, 1, u.j - 1, (z3, z1)), side], Point(1, u.j + 1, 1)
+    if c2 > gamma:  # the deep part of zone 1 is not empty
+        raise _mismatch(s, "has no zone-formula construction")
+    start = Point(1, u.j + 1, 1) if u.j < b else PAST_LAYER_1
+    return [(2, a, 1, u.j, (z3,)), side], [(1, a, 1, u.j, (z3,)), side], start
+
+
+def _piece_columns(host: Diagram, pieces) -> Columns:
+    """The union of the pieces within the host, in column form.  A column's
+    intervals depend only on its piece and its height, so they are found
+    once per height.  On each layer the pieces must come in increasing j,
+    without a shared column."""
+    layers: Columns = {}
+    for i0, i1, j0, j1, rows in pieces:
+        by_height: dict[int, tuple[tuple[int, int], ...]] = {}
+        for i, layer in enumerate(host.layers[i0 - 1:i1], start=i0):
+            kept = layer[j0 - 1:j1]
+            if rows[0][0] > 1:
+                kept = kept[:bisect_right(kept, -rows[0][0], key=neg)]  # the columns that reach a row
+            if not kept:
+                break  # a deeper layer lies inside this one
+            for h in set(kept).difference(by_height):
+                ivs = [(k0, min(h, k1)) for k0, k1 in rows if k0 <= h]
+                by_height[h] = merge_intervals(ivs) if len(ivs) > 1 else tuple(ivs)
+            js, shapes = layers.setdefault(i, ([], []))
+            if js and js[-1] >= j0:
+                raise RuntimeError("zone pieces out of column order; this indicates an engine bug")
+            js += range(j0, j0 + len(kept))
+            shapes += map(by_height.__getitem__, kept)
+    return layers
+
+
+def _back_columns(s: SuffixState, values, ambient: Columns) -> Columns:
+    """The state's realized set mapped back through the value maps, in
+    column form; ``ambient`` is the column form of the set whose reduction
+    is the state's host.
+
+    Each reduced column is the rank prefix 1..h of the k values, so a whole
+    layer maps back to its layer of the ambient: the deep layers are read
+    off it.  A first-layer column realizes the ranks lo..h, which map back
+    to its ambient values from ``kvals[lo - 1]`` up."""
+    ivals, jvals, kvals = values
+    layers = {i: ambient[i] for i in ivals[1:]}
+    if not isinstance(s.start, _Sentinel):
+        js, shapes = ambient[ivals[0]]
+        kept = [(j, tuple((max(k0, kvals[lo - 1]), k1) for k0, k1 in ivs if k1 >= kvals[lo - 1]))
+                for j, ivs, lo, h in zip(js, shapes, _first_layer_lows(s), s.host.layers[0]) if lo <= h]
+        if kept:
+            layers[ivals[0]] = tuple(map(list, zip(*kept)))
+    return layers
+
+
+def _point_link(s: SuffixState, ambient, start):
+    """The link of the column path, built the reference way: the ambient as
+    a point set, with zone 3 from :func:`zones` and the other boxes from
+    ``box_points``, reduced by :func:`reduce_points`."""
+    host, u = s.host, s.start
+    z3 = (1, host.a, 1, u.j, 1, u.k)
+    points: set[Point] = set()
+    for i0, i1, j0, j1, rows in ambient:
+        for k0, k1 in rows:
+            box = (i0, i1, j0, j1, k0, k1)
+            points.update(zones(host, u).z3 if box == z3 else host.box_points(box[::2], box[1::2]))
+    return _reduced_state(*reduce_points(points), start, s.flavor)
+
+
+def _reduced_state(red: Diagram, values, start, flavor: str):
+    """The suffix state of the reduced ambient ``red`` at ``start`` (see
+    :func:`_zone_pieces`), mapped forward through the value maps, with the
+    value maps.  Raises ``ValueError`` when the start is not in the
+    ambient."""
     if start is None:
         state = _first_state(red, flavor)
     elif start is PAST_LAYER_1:
         state = SuffixState(red, PAST_LAYER_1, flavor)
     else:
-        fwd = Point(*(vals.index(v) + 1 for vals, v in zip(values, start)))
-        state = SuffixState(red, fwd, flavor)
+        (ivals, jvals, kvals), (i, j, k) = values, start
+        state = SuffixState(red, Point(ivals.index(i) + 1, jvals.index(j) + 1, kvals.index(k) + 1), flavor)
     return state, values
 
 

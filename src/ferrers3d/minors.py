@@ -12,13 +12,15 @@ is the simplicial complex the whole package studies.  A first-layer point is
 "normal" when deleting it shrinks the leading-pair edge set of its order
 suffix, and "phantom" otherwise.
 
-One swap scan serves every caller, and it runs on packed integers.  A point
-becomes the code ``(i << 2w) | (j << w) | k``, where the field width ``w`` is
-the bit length of the largest coordinate in the call, so no coordinate is
-too large.  Every coordinate fits its field, so comparing two codes compares
-i first, then j, then k: integer order is lex order.  Swapping one
-coordinate takes that field from the other point, two mask operations, and
-for a pair ``u < v`` with swap partners p and q the pair leads its minor iff
+One swap scan serves every caller, and it runs on packed integers;
+``leading_edges`` inlines it, testing the lead first and stopping at a
+pair's first leading axis.  A point becomes the code
+``(i << 2w) | (j << w) | k``, where the field width ``w`` is the bit length
+of the largest coordinate in the call, so no coordinate is too large.
+Every coordinate fits its field, so comparing two codes compares i first,
+then j, then k: integer order is lex order.  Swapping one coordinate takes
+that field from the other point, two mask operations, and for a pair
+``u < v`` with swap partners p and q the pair leads its minor iff
 ``u < p and u < q``.  Codes map back to the caller's points only in the
 results.
 """
@@ -56,7 +58,7 @@ def _pack(points: Collection[Point]) -> tuple[dict[int, Point], int]:
     if flat and min(flat) < 0:
         raise InvalidInput("point coordinates must be nonnegative")
     w = max(flat, default=0).bit_length()
-    return {_code(p, w): p for p in points}, w
+    return {(p[0] << 2 * w) | (p[1] << w) | p[2]: p for p in points}, w
 
 
 def _scan(pairs: Iterable[tuple[int, int]], member: Container[int], w: int) -> Iterator[tuple]:
@@ -94,11 +96,23 @@ def two_minors(points: Iterable[Point]) -> tuple[Binomial2Minor, ...]:
 
 
 def leading_edges(points: Iterable[Point]) -> frozenset[frozenset[Point]]:
-    """The lex leading pairs of all nonzero 2-minors, as an edge set."""
+    """The lex leading pairs of all nonzero 2-minors, as an edge set.
+
+    This is the swap test of :func:`_scan`, inlined with the lead condition
+    first and stopping at the first axis whose minor the pair leads: an
+    edge needs only one."""
     point, w = _pack([Point(*p) for p in points])
-    leads = {(u, v) for _, u, v, p, q in _scan(combinations(sorted(point), 2), point, w)
-             if u < p and u < q}
-    return frozenset(frozenset((point[u], point[v])) for u, v in leads)
+    field = (1 << w) - 1
+    masks = (field << 2 * w, field << w, field)
+    edges = []
+    for u, v in combinations(sorted(point), 2):
+        x = u ^ v
+        for m in masks:
+            d = x & m
+            if d and d != x and u < u ^ d and u < v ^ d and u ^ d in point and v ^ d in point:
+                edges.append(frozenset((point[u], point[v])))
+                break
+    return frozenset(edges)
 
 
 def is_normal_in(collection: AbstractSet[Point], u: Point) -> bool:

@@ -19,7 +19,7 @@ from ferrers3d import (
     validate,
     zones,
 )
-from ferrers3d.diagram import INDUCTION, LEX, reduce_points
+from ferrers3d.diagram import INDUCTION, LEX, merge_intervals, reduce_columns, reduce_points
 from ferrers3d.errors import InvalidInput, NotFerrers, NotInDiagram
 from ferrers3d.families import count_diagrams, enumerate_diagrams, sample_diagrams
 
@@ -233,6 +233,23 @@ class TestReduction:
     @given(point_sets())
     def test_reduce_points_equals_reference(self, pts):
         assert outcome(reduce_points, pts) == outcome(reference_reduce_points, pts)
+
+    @settings(max_examples=400, deadline=None)
+    @given(point_sets())
+    def test_reduce_columns_equals_reduce_points(self, pts):
+        # the same set as k-intervals per column: the same diagram and value
+        # maps, or the same error
+        ks = {}
+        for i, j, k in pts:
+            ks.setdefault(i, {}).setdefault(j, []).append((k, k))
+        columns = {i: (sorted(cols), [merge_intervals(cols[j]) for j in sorted(cols)])
+                   for i, cols in ks.items()}
+        assert outcome(reduce_columns, columns) == outcome(reduce_points, pts)
+
+    def test_merge_intervals(self):
+        assert merge_intervals([(5, 6), (1, 2), (3, 3), (8, 9), (9, 9)]) == ((1, 3), (5, 6), (8, 9))
+        assert merge_intervals([(1, 4), (2, 3)]) == ((1, 4),)
+        assert merge_intervals([]) == ()
 
     @pytest.mark.parametrize("build, pts", [
         (from_points, [(True, 1, 1)]),

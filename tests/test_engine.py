@@ -1,4 +1,5 @@
 from array import array
+from functools import cached_property
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,7 +16,7 @@ from ferrers3d import (
     validate,
 )
 from ferrers3d import minors
-from ferrers3d.diagram import Diagram, order_key, reduce_points
+from ferrers3d.diagram import Diagram, order_key, reduce_columns, reduce_points
 from ferrers3d.engine import (
     INDUCTION,
     LEX,
@@ -94,6 +95,19 @@ class TestSuffixInvariants:
             assert len(realized_set(s)) == 1
             assert engine.suffix_invariants(s) == (0, 1)
 
+    def test_tuple_start_is_stored_as_a_point(self, engine):
+        s = SuffixState(box(2, 2, 2), (1, 1, 1), INDUCTION)
+        assert type(s.start) is Point
+        assert s == SuffixState(box(2, 2, 2), Point(1, 1, 1), INDUCTION)
+        assert canonical_key(s) == canonical_key(SuffixState(box(2, 2, 2), Point(1, 1, 1), INDUCTION))
+        assert engine.suffix_invariants(s) == (2, 6)
+
+    @pytest.mark.parametrize("start", [(True, 1, 1), (1, 1.0, 1), (1, 1), (1, 1, 1, 1), "111", None])
+    def test_other_starts_are_refused(self, start):
+        # a bool or a float equals an int here, and must not pass as one
+        with pytest.raises(InvalidInput, match="neither a triple of integers nor PAST_LAYER_1"):
+            SuffixState(box(2, 2, 2), start, INDUCTION)
+
     def test_flat_box_induction(self, engine):
         s = SuffixState(box(2, 2, 1), Point(1, 1, 1), INDUCTION)
         assert engine.suffix_invariants(s) == (1, 2)
@@ -136,6 +150,39 @@ class TestLinkState:
         monkeypatch.setattr(engine_module, "reduce_points", broken)
         with pytest.raises(LinkMismatch, match="cannot be built from its ambient set"):
             Engine().invariants(box(2, 2, 2))
+
+    @pytest.mark.parametrize("box_dims", [(2, 2, 2), (1, 6, 6)])
+    def test_unbuildable_column_link_raises(self, monkeypatch, box_dims):
+        # the column path fails the same way as the point path, on a host
+        # within VALIDATE_LIMIT and on one above it
+        assert box(2, 2, 2).size <= VALIDATE_LIMIT < box(1, 6, 6).size
+
+        def broken(layers):
+            raise NotFerrers("gap")
+        monkeypatch.setattr(engine_module, "reduce_columns", broken)
+        with pytest.raises(LinkMismatch, match=r"cannot be built from its ambient set \(gap\)"):
+            Engine().invariants(box(*box_dims))
+
+    def test_column_link_differing_from_the_reference_raises(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "_point_link", lambda s, ambient, start: None)
+        with pytest.raises(LinkMismatch, match="differs from its point-set construction"):
+            Engine().invariants(box(2, 2, 2))
+        # above VALIDATE_LIMIT the reference does not run
+        assert Engine().link_state(SuffixState(box(1, 6, 6), Point(1, 1, 1), INDUCTION))
+
+    def test_a_missed_target_raises(self, monkeypatch):
+        # with the last zone piece cut from the target, the link realizes
+        # more than the target; that fails on every host, above
+        # VALIDATE_LIMIT too
+        original = engine_module._zone_pieces
+
+        def cut(s):
+            target, ambient, start = original(s)
+            return target[:-1], ambient, start
+        monkeypatch.setattr(engine_module, "_zone_pieces", cut)
+        for d in (box(2, 2, 2), box(1, 6, 6)):
+            with pytest.raises(LinkMismatch, match="does not realize the zone-formula target"):
+                Engine().invariants(d)
 
     def test_phantom_rejected(self, engine):
         s = SuffixState(box(2, 2, 1), Point(1, 2, 1), INDUCTION)
@@ -189,6 +236,62 @@ def all_states(diagrams):
             for d in diagrams
             for flavor in (INDUCTION, LEX)
             for start in d.layer_points(1) + (PAST_LAYER_1,)]
+
+
+def constructed_links(monkeypatch, runs):
+    """Every state whose link the engine constructs on the runs, a fresh
+    engine per (diagram, order)."""
+    seen = []
+    original = engine_module._zone_pieces
+    monkeypatch.setattr(engine_module, "_zone_pieces", lambda s: seen.append(s) or original(s))
+    for d, order in runs:
+        Engine().invariants(d, order)
+    monkeypatch.undo()
+    return seen
+
+
+class TestColumnLink:
+    """Links built from column intervals against the point-set reference."""
+
+    def test_equals_the_point_set_reference(self, monkeypatch):
+        # every [3]^3 PP diagram (both orders on SPP), 300 sampled [4]^3 PP
+        # diagrams, and three ladder boxes; the reference is called
+        # directly, so hosts above VALIDATE_LIMIT are compared too
+        small = [d for d in enumerate_diagrams(3, 3, 3) if has_projection_property(d)]
+        runs = [(d, order) for d in small
+                for order in ((INDUCTION, LEX) if has_strong_projection_property(d) else (INDUCTION,))]
+        runs += [(d, INDUCTION) for d in sampled_pp(300, seed=17)]
+        runs += [(box(5, 5, 5), INDUCTION), (box(2, 30, 2), INDUCTION), (box(1, 12, 12), INDUCTION)]
+        states = set(constructed_links(monkeypatch, runs))
+        for s in states:
+            _, ambient, start = engine_module._zone_pieces(s)
+            columns = engine_module._piece_columns(s.host, ambient)
+            link, values = engine_module._reduced_state(*reduce_columns(columns), start, s.flavor)
+            assert (link, values) == engine_module._point_link(s, ambient, start), s
+            # the target check's column form of the realized set, mapped
+            # back, against the realized point set mapped back
+            if s.flavor == INDUCTION:
+                link = _successor(link)
+            ivals, jvals, kvals = values
+            assert {(i, j, k) for i, (js, shapes) in engine_module._back_columns(link, values, columns).items()
+                    for j, ivs in zip(js, shapes) for lo, hi in ivs for k in range(lo, hi + 1)} == \
+                {(ivals[i - 1], jvals[j - 1], kvals[k - 1]) for i, j, k in realized_set(link)}, s
+        assert sum(s.host.size > VALIDATE_LIMIT for s in states) > 1000
+        assert {s.flavor for s in states} == {INDUCTION, LEX}
+
+    @pytest.mark.parametrize("dims", [(6, 6, 6), (1, 20, 20)])
+    def test_no_point_tuple_above_the_limit(self, monkeypatch, dims):
+        # links, keys and normality on a larger host read its columns; only
+        # the small-host checks build a point tuple
+        built = []
+        original = Diagram.__dict__["_points"]
+        counted = cached_property(lambda d: built.append(d.size) or original.func(d))
+        counted.__set_name__(Diagram, "_points")
+        monkeypatch.setattr(Diagram, "_points", counted)
+        eng = Engine()
+        eng.invariants(box(*dims))
+        assert built and max(built) <= VALIDATE_LIMIT
+        assert eng.stats["states"] > len(built)
 
 
 class TestCanonicalKey:
