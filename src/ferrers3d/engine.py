@@ -369,13 +369,13 @@ class Engine:
 
         The link is built from the zone pieces in column form
         (``_piece_columns``, ``reduce_columns``).  On hosts within
-        ``VALIDATE_LIMIT`` it must equal the point-set construction
-        (``_point_link``).  Validation checks
-        that the new host is a projection-property diagram, that the state
-        realizes the zone-formula target exactly, column by column, and (on
-        hosts within the limit) that its leading edges, mapped back to the
-        host, are exactly the edges of the literal graph link.  A link that
-        fails validation, or that no zone-formula construction covers, is an
+        ``VALIDATE_LIMIT`` its host and value maps must equal the point-set
+        construction's (``_point_reduction``).  Validation checks that the
+        new host is a projection-property diagram, that the state realizes
+        the zone-formula target exactly, column by column, and (on hosts
+        within the limit) that its leading edges, mapped back to the host,
+        are exactly the edges of the literal graph link.  A link that fails
+        validation, or that no zone-formula construction covers, is an
         internal error and raises ``LinkMismatch``.
         """
         if isinstance(s.start, _Sentinel):
@@ -388,13 +388,13 @@ class Engine:
         target, ambient, start = _zone_pieces(s)
         try:
             columns = _piece_columns(s.host, ambient)
-            link = _reduced_state(*reduce_columns(columns), start, s.flavor)
-            reference = _point_link(s, ambient, start) if s.host.size <= VALIDATE_LIMIT else link
+            reduced = reduce_columns(columns)
+            reference = _point_reduction(s, ambient) if s.host.size <= VALIDATE_LIMIT else reduced
+            state, values = _reduced_state(*reduced, start, s.flavor)
         except (NotFerrers, InvalidInput, ValueError) as exc:
             raise _mismatch(s, f"cannot be built from its ambient set ({exc})") from exc
-        if reference != link:
+        if reference != reduced:  # the start is read off the same value maps
             raise _mismatch(s, "differs from its point-set construction")
-        state, values = link
         if s.flavor == INDUCTION:
             state = _successor(state)  # the link starts right after u
         self._validate_link(s, state, values, columns, target)
@@ -457,21 +457,25 @@ def _piece_columns(host: Diagram, pieces) -> Columns:
     without a shared column."""
     layers: Columns = {}
     for i0, i1, j0, j1, rows in pieces:
+        lowest = rows[0][0]
         by_height: dict[int, tuple[tuple[int, int], ...]] = {}
         for i, layer in enumerate(host.layers[i0 - 1:i1], start=i0):
             kept = layer[j0 - 1:j1]
-            if rows[0][0] > 1:
-                kept = kept[:bisect_right(kept, -rows[0][0], key=neg)]  # the columns that reach a row
+            if lowest > 1:
+                kept = kept[:bisect_right(kept, -lowest, key=neg)]  # the columns that reach a row
             if not kept:
                 break  # a deeper layer lies inside this one
-            for h in set(kept).difference(by_height):
-                ivs = [(k0, min(h, k1)) for k0, k1 in rows if k0 <= h]
-                by_height[h] = merge_intervals(ivs) if len(ivs) > 1 else tuple(ivs)
-            js, shapes = layers.setdefault(i, ([], []))
-            if js and js[-1] >= j0:
+            for h in kept:
+                if h not in by_height:
+                    by_height[h] = merge_intervals((k0, min(h, k1)) for k0, k1 in rows if k0 <= h)
+            entry = layers.get(i)
+            if entry is None:
+                layers[i] = (list(range(j0, j0 + len(kept))), list(map(by_height.__getitem__, kept)))
+            elif entry[0][-1] < j0:
+                entry[0].extend(range(j0, j0 + len(kept)))
+                entry[1].extend(map(by_height.__getitem__, kept))
+            else:
                 raise RuntimeError("zone pieces out of column order; this indicates an engine bug")
-            js += range(j0, j0 + len(kept))
-            shapes += map(by_height.__getitem__, kept)
     return layers
 
 
@@ -495,10 +499,10 @@ def _back_columns(s: SuffixState, values, ambient: Columns) -> Columns:
     return layers
 
 
-def _point_link(s: SuffixState, ambient, start):
-    """The link of the column path, built the reference way: the ambient as
-    a point set, with zone 3 from :func:`zones` and the other boxes from
-    ``box_points``, reduced by :func:`reduce_points`."""
+def _point_reduction(s: SuffixState, ambient):
+    """The reduction of the column path, built the reference way: the
+    ambient as a point set, with zone 3 from :func:`zones` and the other
+    boxes from ``box_points``, reduced by :func:`reduce_points`."""
     host, u = s.host, s.start
     z3 = (1, host.a, 1, u.j, 1, u.k)
     points: set[Point] = set()
@@ -506,7 +510,7 @@ def _point_link(s: SuffixState, ambient, start):
         for k0, k1 in rows:
             box = (i0, i1, j0, j1, k0, k1)
             points.update(zones(host, u).z3 if box == z3 else host.box_points(box[::2], box[1::2]))
-    return _reduced_state(*reduce_points(points), start, s.flavor)
+    return reduce_points(points)
 
 
 def _reduced_state(red: Diagram, values, start, flavor: str):

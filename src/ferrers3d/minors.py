@@ -58,7 +58,8 @@ def _pack(points: Collection[Point]) -> tuple[dict[int, Point], int]:
     if flat and min(flat) < 0:
         raise InvalidInput("point coordinates must be nonnegative")
     w = max(flat, default=0).bit_length()
-    return {(p[0] << 2 * w) | (p[1] << w) | p[2]: p for p in points}, w
+    ww = 2 * w
+    return {(p[0] << ww) | (p[1] << w) | p[2]: p for p in points}, w
 
 
 def _scan(pairs: Iterable[tuple[int, int]], member: Container[int], w: int) -> Iterator[tuple]:
@@ -101,7 +102,7 @@ def leading_edges(points: Iterable[Point]) -> frozenset[frozenset[Point]]:
     This is the swap test of :func:`_scan`, inlined with the lead condition
     first and stopping at the first axis whose minor the pair leads: an
     edge needs only one."""
-    point, w = _pack([Point(*p) for p in points])
+    point, w = _pack([p if type(p) is Point else Point(*p) for p in points])
     field = (1 << w) - 1
     masks = (field << 2 * w, field << w, field)
     edges = []

@@ -164,7 +164,7 @@ class TestLinkState:
             Engine().invariants(box(*box_dims))
 
     def test_column_link_differing_from_the_reference_raises(self, monkeypatch):
-        monkeypatch.setattr(engine_module, "_point_link", lambda s, ambient, start: None)
+        monkeypatch.setattr(engine_module, "_point_reduction", lambda s, ambient: None)
         with pytest.raises(LinkMismatch, match="differs from its point-set construction"):
             Engine().invariants(box(2, 2, 2))
         # above VALIDATE_LIMIT the reference does not run
@@ -267,7 +267,8 @@ class TestColumnLink:
             _, ambient, start = engine_module._zone_pieces(s)
             columns = engine_module._piece_columns(s.host, ambient)
             link, values = engine_module._reduced_state(*reduce_columns(columns), start, s.flavor)
-            assert (link, values) == engine_module._point_link(s, ambient, start), s
+            reference = engine_module._reduced_state(*engine_module._point_reduction(s, ambient), start, s.flavor)
+            assert (link, values) == reference, s
             # the target check's column form of the realized set, mapped
             # back, against the realized point set mapped back
             if s.flavor == INDUCTION:
