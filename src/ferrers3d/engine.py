@@ -44,7 +44,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import neg
 
 from . import minors
