@@ -29,7 +29,7 @@ from .diagram import (
     profile,
     zones,
 )
-from .engine import Engine, SuffixState
+from .engine import PAST_LAYER_1, Engine, SuffixState, successor
 from .errors import Ferrers3DError, InsufficientDegree, LinkMismatch, TooLarge, UnsupportedDiagram
 
 EXIT_OK = 0
@@ -102,14 +102,20 @@ def _agrees(report: oracle.InvariantsReport, check: oracle.InvariantsReport | No
     return (check.ring_dim, check.reg, check.mult) == (report.ring_dim, report.reg, report.mult)
 
 
+#: Largest box count a refusal states exactly; a larger box is not counted.
+_STATED_COUNT = 10 ** 12
+
+
 def _box_diagrams(box, limit: int, hint: str = "", sample: int | None = None, seed: int = 0):
     """A seeded sample of the diagrams inside the box, or all of them; a
     sample or a box larger than ``limit`` exits 4 before anything is built."""
     a, b, c = box
-    total = families.count_diagrams(a, b, c) if sample is None else sample
-    if total > limit:
+    cap = max(limit, _STATED_COUNT)
+    total = families.count_at_most(a, b, c, cap) if sample is None else sample
+    if total is None or total > limit:
         what = "the sample draws" if sample is not None else "the box holds"
-        raise _CliFailure(EXIT_UNSUPPORTED, f"{what} {total} diagrams, above the limit {limit}{hint}")
+        count = f"more than {cap}" if total is None else total
+        raise _CliFailure(EXIT_UNSUPPORTED, f"{what} {count} diagrams, above the limit {limit}{hint}")
     if sample is not None:
         return families.sample_diagrams(a, b, c, sample, seed=seed)
     return families.enumerate_diagrams(a, b, c)
@@ -252,13 +258,16 @@ def _cmd_oracle(args) -> int:
 
 def _link_diagnostic(d1: Diagram, d2: Diagram, engine: Engine) -> list[dict]:
     """Shared normal first-layer points whose link multiplicity drops from
-    the smaller diagram to the larger one; explains monotonicity failures
-    outside the strong projection regime."""
-    out = []
-    for u in d1.first_layer_order(INDUCTION)[0]:
+    the smaller diagram to the larger one, in the smaller one's induction
+    order; explains monotonicity failures outside the strong projection
+    regime."""
+    out, walk = [], SuffixState(d1, Point(1, 1, 1), INDUCTION)
+    while walk.start is not PAST_LAYER_1:
+        first, walk = walk, successor(walk)
+        u = first.start
         if u not in d2:
             continue
-        states = [SuffixState(d, u, INDUCTION) for d in (d1, d2)]
+        states = [first, SuffixState(d2, u, INDUCTION)]
         normal = []
         for s in states:
             with _internal_errors(s.host):  # the normality cross-check can fail
@@ -336,6 +345,8 @@ def _sweep_row(diagram: Diagram, engine: Engine, use_oracle: bool, facet_limit: 
 
 
 def _cmd_sweep(args) -> int:
+    if args.pairs and args.format == "csv":
+        raise _CliFailure(EXIT_INPUT, "--pairs prints one JSON summary; it takes no --format csv")
     keep = {"pp": has_projection_property, "spp": has_strong_projection_property}.get(args.filter)
     hint = "; raise --limit" if args.sample else "; raise --limit or use --sample"
     diagrams = _box_diagrams(args.box, args.limit, hint, args.sample, args.seed)
@@ -515,7 +526,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gb-check", help="bounded-degree binomial reduction check")
     diagram_arg(p)
     p.add_argument("--max-degree", type=_at_least(2), default=4)
-    p.add_argument("--limit", type=_at_least(1), default=oracle.DEFAULT_MONOMIAL_LIMIT)
+    p.add_argument("--limit", type=_at_least(1), default=oracle.DEFAULT_MONOMIAL_LIMIT,
+                   help="work budget; each monomial counts its degree")
     p.set_defaults(func=_cmd_gb_check)
 
     return parser

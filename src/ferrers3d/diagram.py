@@ -8,8 +8,9 @@ essential: every coordinate value between 1 and the bounding box occurs.
 
 This module owns construction and validation, coordinate statistics
 (alpha/beta/gamma), the six-zone split around a point, the projection and
-strong projection properties, the lexicographic and induction orders on the
-first layer, flips, reductions and plane profiles.
+strong projection properties, flips, reductions and plane profiles.  It
+names the two first-layer order flavors; the engine's ``successor`` walks
+them.
 
 A point set becomes a diagram through its column heights ``{(i, j): max k}``,
 read in one pass; it is downward closed exactly when those heights validate
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, repeat
 from operator import gt
-from typing import Callable, Collection, Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidInput, NotFerrers, NotInDiagram
 
@@ -58,8 +59,8 @@ class Diagram:
     Use :func:`validate`, :func:`from_generators` or :func:`from_points` to
     construct one; the raw constructor performs no checking.
 
-    The point tuple, its column slices and the first-layer orders are built
-    lazily, at most once per diagram, and derived from ``layers`` alone:
+    The point tuple and its column slices are built lazily, at most once
+    per diagram, and derived from ``layers`` alone:
     equality, hashing, ``repr`` and pickling see only ``layers``.
     """
 
@@ -129,15 +130,6 @@ class Diagram:
         """The points above the first layer (x-coordinate at least 2)."""
         return frozenset(self._points[self._layer_starts[1]:])
 
-    def first_layer_order(self, flavor: str) -> tuple[tuple[Point, ...], dict[Point, int]]:
-        """The first layer sorted by the flavor's :func:`order_key`, and the
-        position of each point in that order."""
-        order = self._orders.get(flavor)
-        if order is None:
-            ranked = tuple(sorted(self.layer_points(1), key=order_key(self, flavor)))
-            order = self._orders[flavor] = (ranked, {p: t for t, p in enumerate(ranked)})
-        return order
-
     # -- lazy caches, never pickled -------------------------------------------
 
     @cached_property
@@ -170,10 +162,6 @@ class Diagram:
                 start += h
             layers.append(tuple(cols))
         return tuple(layers)
-
-    @cached_property
-    def _orders(self) -> dict[str, tuple[tuple[Point, ...], dict[Point, int]]]:
-        return {}
 
     def __getstate__(self) -> dict:
         return {"layers": self.layers}
@@ -392,9 +380,9 @@ def reduce_points(
 
     Unlike :func:`from_points` it inspects only each axis's distinct values,
     so a bool equal to an integer already on its axis passes as that
-    integer.  It is not exported: the engine feeds it subsets of a host's
-    own points, and a type pass over every coordinate would sit on the
-    engine's link path.
+    integer.  It is not exported: it is the engine's small-host reference
+    for links, whose ambient sets are subsets of a host's own points, and
+    the tests' reference for :func:`reduce_columns`.
     """
     pts = _point_set(points)
     values = _axis_values(pts)
@@ -520,28 +508,6 @@ def has_strong_projection_property(diagram: Diagram) -> bool:
         if c_next != 1 and (i, diagram.layer_width(i), c_next) not in diagram:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# orders on the first layer
-# ---------------------------------------------------------------------------
-
-
-def order_key(diagram: Diagram, flavor: str) -> Callable[[Point], tuple[int, ...]]:
-    """Sort key of the first-layer order of the given flavor.
-
-    The lexicographic order runs on (j, k).  The induction order has two
-    stages: stage one walks the points whose height stays within the
-    essential height of layer 2, column by column (lexicographically in
-    (j, k)); stage two walks the remaining points row by row
-    (lexicographically in (k, j)), matching a flip followed by the
-    lexicographic order.  When the diagram has a single layer the cutoff is
-    0 and the whole layer is stage two.
-    """
-    if flavor == LEX:
-        return lambda p: (p.j, p.k)
-    c2 = diagram.layer_height(2)
-    return lambda p: (0, p.j, p.k) if p.k <= c2 else (1, p.k, p.j)
 
 
 # ---------------------------------------------------------------------------

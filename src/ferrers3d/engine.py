@@ -20,7 +20,7 @@ returning a silently wrong value.
 
 A state is read from column heights, not from point sets.  Its realized
 set is the host's deep (x >= 2) layers plus one k-interval per first-layer
-column (``_run_starts``), and its successor is arithmetic on the start.
+column (``_run_starts``), and its ``successor`` is arithmetic on the start.
 Normality is a closed-form neighbour test (``_column_test``), checked
 against ``minors.is_normal_in`` on hosts within ``VALIDATE_LIMIT``.  The
 memo key packs the collapsed intervals and the deep layers into one array
@@ -202,10 +202,13 @@ def _first_layer_lows(s: SuffixState) -> list[int]:
     return [before] * (j0 - 1) + [k0] + [after] * (len(s.host.layers[0]) - j0)
 
 
-def _successor(s: SuffixState) -> SuffixState:
-    """The state one step later in the host's first-layer order: up the
-    column, then on to the next column.  The induction order walks columns
-    up to c2 (stage one), then the rows above c2 one by one (stage two)."""
+def successor(s: SuffixState) -> SuffixState:
+    """The state one step later in the host's first-layer order, which the
+    engine sheds in; ``PAST_LAYER_1`` follows the last point.  The lex order
+    runs on (j, k), up each column.  The induction order runs on (j, k) over
+    the points up to c2, the height of layer 2 (stage one), then on (k, j),
+    row by row, over the rest (stage two: a flip, then lex); c2 = 0 on a
+    one-layer host, so its whole layer is stage two."""
     heights, (_, j, k) = s.host.layers[0], s.start
     c2 = s.host.layer_height(2)
     if s.flavor == INDUCTION and k > c2:
@@ -349,7 +352,7 @@ class Engine:
                 cur = _flip_state(cur)
             else:
                 chain.append((key, cur))
-                cur = _successor(cur)
+                cur = successor(cur)
 
         for key, st in reversed(chain):
             if st is not None:
@@ -396,7 +399,7 @@ class Engine:
         if reference != reduced:  # the start is read off the same value maps
             raise _mismatch(s, "differs from its point-set construction")
         if s.flavor == INDUCTION:
-            state = _successor(state)  # the link starts right after u
+            state = successor(state)  # the link starts right after u
         self._validate_link(s, state, values, columns, target)
         return state
 

@@ -32,12 +32,22 @@ def count_diagrams(a: int, b: int, c: int) -> int:
     """Number of nonempty diagrams inside [a] x [b] x [c]: MacMahon's box
     product prod_{i,j,k} (i+j+k-1)/(i+j+k-2), whose k-product telescopes to
     (i+j+c-1)/(i+j-1), minus the empty diagram."""
+    return count_at_most(a, b, c, None)
+
+
+def count_at_most(a: int, b: int, c: int, cap: int | None) -> int | None:
+    """:func:`count_diagrams`, or None once the count passes ``cap``.  The
+    product runs over the two shortest sides, so each factor is above 3/2: a
+    count past ``cap`` shows within log_{3/2}(cap) factors of any box."""
     _check_box(a, b, c)
+    a, b, c = sorted((a, b, c))
     num = den = 1
     for i in range(1, a + 1):
         for j in range(1, b + 1):
             num *= i + j + c - 1
             den *= i + j - 1
+            if cap is not None and num > (cap + 1) * den:
+                return None
     return num // den - 1
 
 

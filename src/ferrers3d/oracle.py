@@ -22,6 +22,9 @@ DEFAULT_FACET_LIMIT = 24
 DEFAULT_PRODUCT_LIMIT = 5_000_000
 DEFAULT_MONOMIAL_LIMIT = 2_000_000
 
+#: Trailing degrees of the default Hilbert table in which the numerator must vanish.
+_SLACK = 2
+
 
 @dataclass(frozen=True)
 class InvariantsReport:
@@ -148,34 +151,29 @@ def hilbert_function(
     return HilbertTable(tuple(values))
 
 
-def hilbert_invariants(
-    diagram: Diagram,
-    degree: Optional[int] = None,
-    slack: int = 2,
-    product_limit: int = DEFAULT_PRODUCT_LIMIT,
-) -> InvariantsReport:
+def hilbert_invariants(diagram: Diagram, degree: Optional[int] = None) -> InvariantsReport:
     """Invariants fitted from the Hilbert function.
 
     The numerator of the Hilbert series against pole order d = a+b+c-2 is
     recovered by the d-fold backward difference of the table; its degree is
     the regularity (the ring is Cohen-Macaulay in the guaranteed regime) and
     its value at 1 the multiplicity.  The default table length is d plus the
-    pairwise-minimum bound on the regularity plus slack, so the numerator
+    pairwise-minimum bound on the regularity plus ``_SLACK``, so the numerator
     must terminate visibly; if it does not, InsufficientDegree asks for a
     longer table rather than extrapolating.
     """
     a, b, c = diagram.a, diagram.b, diagram.c
     d = a + b + c - 2
     if degree is None:
-        degree = d + (min(a + b, a + c, b + c) - 2) + slack
-    table = hilbert_function(diagram, degree, product_limit)
+        degree = d + (min(a + b, a + c, b + c) - 2) + _SLACK
+    table = hilbert_function(diagram, degree)
     h = table.values
     numerator = [
         sum((-1) ** t * math.comb(d, t) * h[n - t] for t in range(0, min(n, d) + 1))
         for n in range(degree + 1)
     ]
     reg = max(n for n, val in enumerate(numerator) if val != 0)
-    if reg > degree - slack:
+    if reg > degree - _SLACK:
         raise InsufficientDegree(
             f"numerator still nonzero at degree {reg} with table length {degree}; raise the degree"
         )
@@ -257,11 +255,17 @@ def toric_gb_check(
     The divisor set is the raw minor list, deliberately without completion:
     failure exhibits a relation the quadrics cannot reach, and the lowest
     degree pair of distinct normal forms is reported as the witness.
+
+    The budget ``monomial_limit`` charges each monomial its degree, the length
+    of the tuple it is built and rewritten as: sum_l l * C(n + l - 1, l).
     """
     pts = sorted(diagram.points())
-    total = sum(math.comb(len(pts) + l - 1, l) for l in range(2, max_degree + 1))
-    if total > monomial_limit:
-        raise TooLarge(f"{total} monomials exceed the limit {monomial_limit}")
+    work = 0
+    for l in range(2, max_degree + 1):
+        work += l * math.comb(len(pts) + l - 1, l)
+        if work > monomial_limit:
+            raise TooLarge(f"the monomials up to degree {max_degree} exceed the limit {monomial_limit}, "
+                           "each counted by its degree")
 
     lead_map: dict[frozenset[Point], list[tuple[Point, ...]]] = {}
     for minor in two_minors(pts):

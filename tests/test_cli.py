@@ -219,6 +219,15 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--box", "4", "4", "4", "--limit", "100")
         assert code == 4 and "232847" in err
 
+    @pytest.mark.parametrize("verb", ["sweep", "search"])
+    @pytest.mark.parametrize("side", ["200", "2000"])
+    def test_huge_box_refused_without_counting_it(self, capsys, verb, side):
+        # the box count passes 10**12 within a few factors of its product
+        code, out, err = run(capsys, verb, "--box", side, side, side)
+        assert code == 4 and not out
+        assert err.startswith("the box holds more than 1000000000000 diagrams, above the limit 20000")
+        assert err.count("\n") == 1
+
     def test_sample_limit_guard(self, capsys):
         # a sample is bounded by --limit as an enumeration is
         code, out, err = run(capsys, "sweep", "--box", "2", "2", "2", "--sample", "50", "--limit", "10")
@@ -292,6 +301,14 @@ class TestGBCheck:
         assert 4 in data["failing_degrees"]
         assert len(data["witness"]) == 2
 
+    @pytest.mark.parametrize("degree", ["2000", "8000", "100000"])
+    def test_budget_counts_each_monomial_by_its_degree(self, capsys, degree):
+        # one point has one monomial of each degree, so degrees up to d
+        # cost about d**2 / 2 and the default budget stops near degree 2000
+        code, out, err = run(capsys, "gb-check", '{"layers": [[1]]}', "--max-degree", degree)
+        assert code == 4 and not out
+        assert err.startswith(f"the monomials up to degree {degree} exceed the limit 2000000")
+
 
 def test_timing_smoke_large_box(capsys):
     code, out, _ = run(capsys, "invariants", '{"layers": [[4,4,4,4],[4,4,4,4],[4,4,4,4],[4,4,4,4]]}')
@@ -311,7 +328,8 @@ def test_file_input(tmp_path, capsys):
 class TestNumberGuards:
     """Numbers below their floor are input errors (exit 2): counts, sizes
     and limits below 1, a Hilbert degree or facet threshold below 0 and a
-    rewriting degree below 2."""
+    rewriting degree below 2.  So is a pair of flags that cannot hold
+    together: ``sweep --pairs`` with ``--format csv``."""
 
     @pytest.mark.parametrize("argv", [
         ("sweep", "--box", "0", "2", "2"),
@@ -326,14 +344,19 @@ class TestNumberGuards:
         ("gb-check", BOX222, "--max-degree", "-1"),
         ("sweep", "--box", "2", "2", "2", "--oracle", "--facet-limit", "-5"),
         ("search", "--box", "2", "2", "2", "--facet-limit", "0"),
+        ("sweep", "--box", "2", "2", "2", "--pairs", "--format", "csv"),
     ], ids=lambda argv: " ".join(argv).replace(BOX222, "BOX222"))
     def test_rejected(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects a number
+            code = exc.code
         out = capsys.readouterr()
-        assert exc.value.code == 2
+        assert code == 2
         floor = {"--hilbert-degree": 0, "--facet-threshold": 0, "--max-degree": 2}.get(argv[-2], 1)
-        assert f"is below {floor}" in out.err and not out.out
+        expected = "--pairs prints one JSON summary; it takes no --format csv" if "--pairs" in argv \
+            else f"is below {floor}"
+        assert expected in out.err and not out.out
 
 
 def _values(top):
@@ -512,6 +535,11 @@ class TestGolden:
         "compare": (("compare", '{"generators": [[1,3,2],[2,2,3]]}',
                      '{"layers": [[3,3,3],[3,3,3]]}'),
                     "1fdf2848bf34e72520ad6986fb84f314103603261f53e47028fd5c7450e98d0e"),
+        # the link diagnostic in the induction order: u = (1,2,1) of stage
+        # one before (1,1,3) of stage two, which lex order would swap
+        "compare-stage-two": (("compare", '{"layers":[[3,3,1],[1,1,1],[1,1,1]]}',
+                               '{"layers":[[3,3,3],[2,1,1],[1,1,1]]}'),
+                              "5893a2cea41f6b6cb04127c346f5530158472e699f02bc18d0622c22893f023b"),
         "sweep-csv": (("sweep", "--box", "3", "3", "3", "--filter", "pp", "--oracle",
                        "--format", "csv"),
                       "656cd4d8f75c263ef11f1a2f199319c7c7ddbcbf24ff8e0af40b44a213e45295"),

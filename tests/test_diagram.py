@@ -19,9 +19,10 @@ from ferrers3d import (
     validate,
     zones,
 )
+from conftest import walked_order
 from ferrers3d.diagram import INDUCTION, LEX, merge_intervals, reduce_columns, reduce_points
 from ferrers3d.errors import InvalidInput, NotFerrers, NotInDiagram
-from ferrers3d.families import count_diagrams, enumerate_diagrams, sample_diagrams
+from ferrers3d.families import count_at_most, count_diagrams, enumerate_diagrams, sample_diagrams
 
 CLOSURE = from_generators([(1, 3, 2), (2, 2, 3)])
 
@@ -408,38 +409,45 @@ class TestProjectionProperties:
 
 
 class TestOrders:
+    """Hand-written first-layer orders against the engine's walk."""
+
     def test_induction_order_full_box(self):
-        assert box(2, 2, 2).first_layer_order(INDUCTION)[0] == (
+        assert walked_order(box(2, 2, 2), INDUCTION) == (
             Point(1, 1, 1), Point(1, 1, 2), Point(1, 2, 1), Point(1, 2, 2),
         )
 
     def test_induction_order_two_stages(self):
         d = validate([[2], [1]])
-        assert d.first_layer_order(INDUCTION)[0] == (Point(1, 1, 1), Point(1, 1, 2))
+        assert walked_order(d, INDUCTION) == (Point(1, 1, 1), Point(1, 1, 2))
 
     def test_induction_order_flat_box(self):
-        assert box(2, 2, 1).first_layer_order(INDUCTION)[0] == (Point(1, 1, 1), Point(1, 2, 1))
+        assert walked_order(box(2, 2, 1), INDUCTION) == (Point(1, 1, 1), Point(1, 2, 1))
 
     def test_lex_order_box(self):
-        assert box(2, 2, 2).first_layer_order(LEX)[0] == (
+        assert walked_order(box(2, 2, 2), LEX) == (
             Point(1, 1, 1), Point(1, 1, 2), Point(1, 2, 1), Point(1, 2, 2),
         )
 
     def test_lex_order_wide_layer(self):
-        assert validate([[3, 3, 2]]).first_layer_order(LEX)[0] == (
+        assert walked_order(validate([[3, 3, 2]]), LEX) == (
             Point(1, 1, 1), Point(1, 1, 2), Point(1, 1, 3),
             Point(1, 2, 1), Point(1, 2, 2), Point(1, 2, 3),
             Point(1, 3, 1), Point(1, 3, 2),
         )
 
     def test_lex_order_single(self):
-        assert validate([[1]]).first_layer_order(LEX)[0] == (Point(1, 1, 1),)
+        assert walked_order(validate([[1]]), LEX) == (Point(1, 1, 1),)
+
+    def test_walk_visits_each_first_layer_point_once(self):
+        d = validate([[4, 3, 3, 1], [3, 2], [1]])
+        for flavor in (INDUCTION, LEX):
+            assert sorted(walked_order(d, flavor)) == list(d.layer_points(1))
 
     def test_quasi_lexicographic_axioms(self):
         # both flavors: componentwise-smaller first-layer points come first
         for d in all_diagrams_3():
             for flavor in (INDUCTION, LEX):
-                pts = d.first_layer_order(flavor)[0]
+                pts = walked_order(d, flavor)
                 assert sorted(pts) == sorted(d.layer_points(1))
                 pos = {p: t for t, p in enumerate(pts)}
                 for p in pts:
@@ -497,6 +505,16 @@ def test_enumeration_matches_box_product_formula():
     assert len(seen) == count_diagrams(2, 3, 2)
 
 
+def test_capped_count_stops_past_the_cap():
+    for dims in itertools.product(range(1, 5), repeat=3):
+        total = count_diagrams(*dims)
+        assert count_at_most(*dims, total) == total
+        assert count_at_most(*dims, total - 1) is None
+    # a few factors of the product pass the cap, however large the box
+    assert count_at_most(10 ** 9, 10 ** 9, 10 ** 9, 10 ** 12) is None
+    assert count_at_most(1, 1, 10 ** 9, 10 ** 12) == 10 ** 9
+
+
 def test_box_count_is_invariant_under_axis_permutations():
     # the telescoped product treats c apart from a and b
     for dims in itertools.product(range(1, 6), repeat=3):
@@ -528,8 +546,7 @@ class TestPointCache:
         assert first == second == sorted(first)
         assert len(first) == used.size
         assert used.layer_points(1) + tuple(sorted(used.deep_points)) == used.points()
-        used.first_layer_order(INDUCTION)
-        used.first_layer_order(LEX)
+        used.box_points((1, 1, 1), (2, 2, 2))
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
         assert pickle.dumps(used) == pickle.dumps(fresh)
@@ -542,10 +559,3 @@ class TestPointCache:
         for i in range(0, d.a + 2):
             expected = tuple(p for p in d.points() if p.i == i)
             assert d.layer_points(i) == expected
-
-    def test_first_layer_orders(self):
-        d = validate(self.LAYERS)
-        for flavor in (INDUCTION, LEX):
-            order, rank = d.first_layer_order(flavor)
-            assert sorted(order) == list(d.layer_points(1))
-            assert all(order[t] == p for p, t in rank.items())

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import permute_axes
+from conftest import first_layer_order, order_key, permute_axes, walked_order
 from ferrers3d import (
     Point,
     box,
@@ -16,7 +16,7 @@ from ferrers3d import (
     validate,
 )
 from ferrers3d import minors
-from ferrers3d.diagram import Diagram, order_key, reduce_columns, reduce_points
+from ferrers3d.diagram import Diagram, reduce_columns, reduce_points
 from ferrers3d.engine import (
     INDUCTION,
     LEX,
@@ -25,9 +25,9 @@ from ferrers3d.engine import (
     Engine,
     SuffixState,
     _column_test,
-    _successor,
     canonical_key,
     realized_set,
+    successor,
 )
 from ferrers3d import engine as engine_module
 from ferrers3d.errors import (
@@ -117,7 +117,7 @@ class TestSuffixInvariants:
         for d in enumerate_diagrams(2, 2, 3):
             if not has_projection_property(d):
                 continue
-            order = d.first_layer_order(INDUCTION)[0]
+            order = first_layer_order(d, INDUCTION)
             values = []
             for u in order:
                 values.append(engine.suffix_invariants(SuffixState(d, u, INDUCTION)))
@@ -272,7 +272,7 @@ class TestColumnLink:
             # the target check's column form of the realized set, mapped
             # back, against the realized point set mapped back
             if s.flavor == INDUCTION:
-                link = _successor(link)
+                link = successor(link)
             ivals, jvals, kvals = values
             assert {(i, j, k) for i, (js, shapes) in engine_module._back_columns(link, values, columns).items()
                     for j, ivs in zip(js, shapes) for lo, hi in ivs for k in range(lo, hi + 1)} == \
@@ -367,7 +367,7 @@ class TestAgainstOracle:
         for d in enumerate_diagrams(2, 2, 3):
             if not has_projection_property(d):
                 continue
-            pts = d.first_layer_order(INDUCTION)[0]
+            pts = first_layer_order(d, INDUCTION)
             deep = [p for p in d.points() if p.i >= 2]
             for t, u in enumerate(pts):
                 suffix = frozenset(pts[t:]) | frozenset(deep)
@@ -464,11 +464,7 @@ class TestTraversal:
                     expected = deep | {p for p in first if key(p) >= key(u)}
                     assert realized_set(SuffixState(d, u, flavor)) == expected
                 assert realized_set(SuffixState(d, PAST_LAYER_1, flavor)) == deep
-                s, walked = SuffixState(d, min(first, key=key), flavor), []
-                while s.start is not PAST_LAYER_1:
-                    walked.append(s.start)
-                    s = _successor(s)
-                assert walked == sorted(first, key=key)
+                assert walked_order(d, flavor) == first_layer_order(d, flavor)
 
 
 def rule_edges(points):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import first_layer_order
 from ferrers3d import (
     Point,
     SuffixState,
@@ -184,7 +185,7 @@ class TestLeadingPairGraph:
 
 def orders(d):
     """The first layer in each order flavor."""
-    return [d.first_layer_order(flavor)[0] for flavor in (INDUCTION, LEX)]
+    return [first_layer_order(d, flavor) for flavor in (INDUCTION, LEX)]
 
 
 def _suffix(diagram, order, u):
@@ -196,14 +197,14 @@ def _suffix(diagram, order, u):
 class TestClassification:
     def test_vertical_square_lex(self):
         d = box(1, 2, 2)
-        order = d.first_layer_order(LEX)[0]
+        order = first_layer_order(d, LEX)
         assert classify(_suffix(d, order, Point(1, 1, 1)), Point(1, 1, 1)) == "normal"
         for u in map(Point._make, ((1, 1, 2), (1, 2, 1), (1, 2, 2))):
             assert classify(_suffix(d, order, u), u) == "phantom"
 
     def test_flat_box_induction(self):
         d = box(2, 2, 1)
-        order = d.first_layer_order(INDUCTION)[0]
+        order = first_layer_order(d, INDUCTION)
         assert classify(_suffix(d, order, Point(1, 1, 1)), Point(1, 1, 1)) == "normal"
         assert classify(_suffix(d, order, Point(1, 2, 1)), Point(1, 2, 1)) == "phantom"
 
