@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .diagram import Diagram, _is_int, has_strong_projection_property, profile
+from .diagram import Diagram, _check_box, _is_int, has_strong_projection_property, profile
 from .errors import HypothesisFailed, InvalidInput, UnsupportedDiagram
 
 
@@ -33,6 +33,7 @@ def as_partition(parts: Sequence[int]) -> tuple[int, ...]:
 
 def rect_multiplicity(a: int, b: int, c: int) -> int:
     """(a+b+c-3)! / ((a-1)!(b-1)!(c-1)!), the multiplicity of a full box."""
+    _check_box(a, b, c)
     return math.factorial(a + b + c - 3) // (
         math.factorial(a - 1) * math.factorial(b - 1) * math.factorial(c - 1)
     )
@@ -40,6 +41,7 @@ def rect_multiplicity(a: int, b: int, c: int) -> int:
 
 def rect_regularity(a: int, b: int, c: int) -> int:
     """Sum of the two smallest sides minus 2, the regularity of a full box."""
+    _check_box(a, b, c)
     lo, mid, _ = sorted((a, b, c))
     return lo + mid - 2
 

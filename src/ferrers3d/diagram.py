@@ -15,17 +15,17 @@ them.
 A point set becomes a diagram through its column heights ``{(i, j): max k}``,
 read in one pass; it is downward closed exactly when those heights validate
 and hold as many points as the set.  A set given as k-intervals per column
-is reduced the same way without its points (``reduce_columns``).  Zones and
-other boxes of a diagram are cut from the cached point tuple one column
-slice at a time.
+is reduced the same way without its points (``reduce_columns``).  A
+diagram's own point tuple is built at most once, by definition from its
+layers; point sets cut from it, such as the zones, filter it in one pass.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, partial
-from itertools import chain, repeat
+from functools import cached_property
+from itertools import chain
 from operator import gt
 from typing import Collection, Iterable, NamedTuple, Sequence
 
@@ -59,9 +59,9 @@ class Diagram:
     Use :func:`validate`, :func:`from_generators` or :func:`from_points` to
     construct one; the raw constructor performs no checking.
 
-    The point tuple and its column slices are built lazily, at most once
-    per diagram, and derived from ``layers`` alone:
-    equality, hashing, ``repr`` and pickling see only ``layers``.
+    The point tuple is built lazily, at most once per diagram, and derived
+    from ``layers`` alone: equality, hashing, ``repr`` and pickling see only
+    ``layers``.
     """
 
     layers: tuple[tuple[int, ...], ...]
@@ -104,64 +104,14 @@ class Diagram:
         """All points in lexicographic order."""
         return self._points
 
-    def layer_points(self, i: int) -> tuple[Point, ...]:
-        if not 1 <= i <= len(self.layers):
-            return ()
-        return self._points[self._layer_starts[i - 1]:self._layer_starts[i]]
-
-    def box_points(self, lo: Sequence[int], hi: Sequence[int]) -> list[Point]:
-        """The points p with lo <= p <= hi componentwise, in lexicographic
-        order.  Each column contributes one slice of its points, so the cost
-        follows the columns and the points returned, not the diagram."""
-        (i0, j0, k0), (i1, j1, k1) = lo, hi
-        i0, j0, k0 = max(i0, 1), max(j0, 1), max(k0, 1)
-        out: list[Point] = []
-        if i0 > i1 or j0 > j1 or k0 > k1:
-            return out
-        for cols in self._columns[i0 - 1:i1]:
-            for col in cols[j0 - 1:j1]:
-                if len(col) < k0:
-                    break  # heights only fall along a row
-                out += col[k0 - 1:k1]
-        return out
-
-    @cached_property
-    def deep_points(self) -> frozenset[Point]:
-        """The points above the first layer (x-coordinate at least 2)."""
-        return frozenset(self._points[self._layer_starts[1]:])
-
-    # -- lazy caches, never pickled -------------------------------------------
+    # -- lazy cache, never pickled ------------------------------------------
 
     @cached_property
     def _points(self) -> tuple[Point, ...]:
-        # one column at a time; tuple.__new__ makes each Point without a
-        # Python-level call
-        make = partial(tuple.__new__, Point)
-        return tuple(chain.from_iterable(
-            map(make, zip(repeat(i, h), repeat(j, h), range(1, h + 1)))
-            for i, layer in enumerate(self.layers, start=1)
-            for j, h in enumerate(layer, start=1)
-        ))
-
-    @cached_property
-    def _layer_starts(self) -> tuple[int, ...]:
-        starts = [0]
-        for layer in self.layers:
-            starts.append(starts[-1] + sum(layer))
-        return tuple(starts)
-
-    @cached_property
-    def _columns(self) -> tuple[tuple[tuple[Point, ...], ...], ...]:
-        """Per layer, each column's points (i, j, 1..h) as a slice of the
-        point tuple."""
-        pts, start, layers = self._points, 0, []
-        for layer in self.layers:
-            cols = []
-            for h in layer:
-                cols.append(pts[start:start + h])
-                start += h
-            layers.append(tuple(cols))
-        return tuple(layers)
+        return tuple(Point(i, j, k)
+                     for i, layer in enumerate(self.layers, start=1)
+                     for j, h in enumerate(layer, start=1)
+                     for k in range(1, h + 1))
 
     def __getstate__(self) -> dict:
         return {"layers": self.layers}
@@ -258,6 +208,16 @@ def validate(layers: Iterable[Iterable[int]]) -> Diagram:
     return Diagram(rows)
 
 
+def _check_point(p: object, refusal: str = "is not a triple of integers") -> Point:
+    """p as a Point.  Raises InvalidInput, saying that p ``refusal``, unless
+    p is a tuple or list of three ints; a bool or a float is not an int
+    here, though True == 1 == 1.0."""
+    if not (isinstance(p, (tuple, list)) and len(p) == 3
+            and type(p[0]) is type(p[1]) is type(p[2]) is int):
+        raise InvalidInput(f"{p!r} {refusal}")
+    return p if type(p) is Point else Point(*p)
+
+
 def _check_box(a: int, b: int, c: int) -> None:
     """Raises InvalidInput unless the box dimensions are positive ints."""
     if not all(_is_int(n) and n >= 1 for n in (a, b, c)):
@@ -347,16 +307,17 @@ def _from_heights(heights: dict[tuple[int, int], int], size: int) -> Diagram:
 
 def _int_triples(points: Iterable[Sequence[int]]) -> Collection[Sequence[int]]:
     """The points without repeats.  Raises InvalidInput unless each is a
-    triple of ints; a set cannot tell True from 1, so a bool is found by
-    reading every given coordinate's type."""
+    triple of ints; a set cannot tell True or 1.0 from 1, so every given
+    coordinate's type is read."""
     try:
         points = list(points)
     except TypeError as exc:
         raise InvalidInput(f"the points must be a collection of triples ({exc})") from None
     pts = _point_set(points)
     _axis_values(pts)  # rejects non-triples and non-integer coordinates
-    if bool in set(map(type, chain.from_iterable(points))):
-        raise InvalidInput("a coordinate is a bool, not an integer")
+    if set(map(type, chain.from_iterable(points))) - {int}:
+        bad = next(v for v in chain.from_iterable(points) if type(v) is not int)
+        raise InvalidInput(f"coordinate {bad!r} is not an integer")
     return pts
 
 
@@ -450,8 +411,8 @@ def reduce_columns(
 
 def alpha_beta_gamma(diagram: Diagram, u: Point) -> tuple[int, int, int]:
     """Greatest coordinate reachable from u along each axis while staying
-    in the diagram."""
-    u = Point(*u)
+    in the diagram.  Raises InvalidInput unless u is a triple of ints."""
+    u = _check_point(u)
     if u not in diagram:
         raise NotInDiagram(f"{tuple(u)} is not in the diagram")
     # the diagram is downward closed, so each axis's reach is a count
@@ -464,22 +425,19 @@ def alpha_beta_gamma(diagram: Diagram, u: Point) -> tuple[int, int, int]:
 def zones(diagram: Diagram, u: Point) -> ZoneMap:
     """Split the points with x-coordinate >= u.i into the six zones cut out
     by j <= j0 / j <= beta and k <= k0 / k <= gamma."""
-    u = Point(*u)
     _, beta, gamma = alpha_beta_gamma(diagram, u)
+    i0, j0, k0 = u
     zs: tuple[list[Point], ...] = ([], [], [], [], [], [])
-    z1, z2, z3, z4, z5, z6 = zs
-    for cols in diagram._columns[u.i - 1:]:
-        for j, col in enumerate(cols, start=1):
-            # col[t] is the point at height k = t + 1
-            if j <= u.j:
-                z3 += col[:u.k]
-                z2 += col[u.k:gamma]
-                z1 += col[gamma:]
-            elif j <= beta:
-                z5 += col[:u.k]
-                z4 += col[u.k:]
-            else:
-                z6 += col
+    for p in diagram.points():
+        if p.i < i0:
+            continue
+        if p.j <= j0:
+            zone = 1 if p.k > gamma else 2 if p.k > k0 else 3
+        elif p.j <= beta:
+            zone = 4 if p.k > k0 else 5
+        else:
+            zone = 6
+        zs[zone - 1].append(p)
     return ZoneMap(*map(frozenset, zs))
 
 

@@ -33,9 +33,10 @@ ambient set of a link is a set of k-intervals per column, and
 ``reduce_columns`` ranks them into the link host and its value maps.  The
 target check maps the link's columns back the same way.  On hosts within
 ``VALIDATE_LIMIT`` the point-set construction stays as the reference: the
-ambient from ``zones`` and ``box_points``, reduced by ``reduce_points``,
-must give the same link.  Point sets are built only on those small hosts,
-for that reference, the literal graph link and the normality check.
+ambient filtered from the host's points (zone 3 by ``zones``), reduced by
+``reduce_points``, must give the same link.  Point sets are built only on
+those small hosts, by definition from the host's point tuple, for that
+reference, the literal graph link and the normality check.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from operator import neg
 
 from . import minors
@@ -54,6 +54,7 @@ from .diagram import (
     Columns,
     Diagram,
     Point,
+    _check_point,
     has_projection_property,
     has_strong_projection_property,
     merge_intervals,
@@ -94,17 +95,12 @@ class SuffixState:
     def __post_init__(self):
         if self.flavor not in (INDUCTION, LEX):
             raise InvalidInput(f"unknown order flavor {self.flavor!r}")
-        start = self.start
-        if isinstance(start, _Sentinel):
+        if isinstance(self.start, _Sentinel):
             return
-        # a bool or a float is not an int here, though True == 1 == 1.0
-        if not (isinstance(start, (tuple, list)) and len(start) == 3
-                and type(start[0]) is type(start[1]) is type(start[2]) is int):
-            raise InvalidInput(f"the start {start!r} is neither a triple of integers nor PAST_LAYER_1")
-        if not (start[0] == 1 and start in self.host):
+        start = _check_point(self.start, "is neither a triple of integers nor PAST_LAYER_1")
+        if not (start.i == 1 and start in self.host):
             raise InvalidInput(f"{tuple(start)} is not a first-layer point of the host")
-        if type(start) is not Point:
-            object.__setattr__(self, "start", Point(*start))
+        object.__setattr__(self, "start", start)
 
     @cached_property
     def realized(self) -> frozenset[Point]:
@@ -185,15 +181,11 @@ def _run_starts(s: SuffixState) -> tuple[int, int]:
 
 def realized_set(s: SuffixState) -> frozenset[Point]:
     """The point set the state denotes: the host's deep points plus each
-    first-layer column's interval, cut as a slice of the first layer."""
-    host = s.host
+    first-layer column's interval, filtered from the host's points."""
     if isinstance(s.start, _Sentinel):
-        return host.deep_points
-    heights, first = host.layers[0], host.layer_points(1)
-    # column j is first[end - h(j):end]; a slice that would start past its end is empty
+        return frozenset(p for p in s.host.points() if p.i > 1)
     lows = _first_layer_lows(s)
-    return host.deep_points.union(*(first[end - h + lo - 1:end]
-                                    for lo, h, end in zip(lows, heights, accumulate(heights))))
+    return frozenset(p for p in s.host.points() if p.i > 1 or p.k >= lows[p.j - 1])
 
 
 def _first_layer_lows(s: SuffixState) -> list[int]:
@@ -393,14 +385,14 @@ class Engine:
             columns = _piece_columns(s.host, ambient)
             reduced = reduce_columns(columns)
             reference = _point_reduction(s, ambient) if s.host.size <= VALIDATE_LIMIT else reduced
-            state, values = _reduced_state(*reduced, start, s.flavor)
+            state = _reduced_state(*reduced, start, s.flavor)
         except (NotFerrers, InvalidInput, ValueError) as exc:
             raise _mismatch(s, f"cannot be built from its ambient set ({exc})") from exc
         if reference != reduced:  # the start is read off the same value maps
             raise _mismatch(s, "differs from its point-set construction")
         if s.flavor == INDUCTION:
             state = successor(state)  # the link starts right after u
-        self._validate_link(s, state, values, columns, target)
+        self._validate_link(s, state, reduced[1], columns, target)
         return state
 
     def _validate_link(self, s, link, values, columns, target) -> None:
@@ -504,31 +496,31 @@ def _back_columns(s: SuffixState, values, ambient: Columns) -> Columns:
 
 def _point_reduction(s: SuffixState, ambient):
     """The reduction of the column path, built the reference way: the
-    ambient as a point set, with zone 3 from :func:`zones` and the other
-    boxes from ``box_points``, reduced by :func:`reduce_points`."""
+    ambient as a point set, with zone 3 from :func:`zones` and the points
+    of the other boxes filtered from the host's points, reduced by
+    :func:`reduce_points`."""
     host, u = s.host, s.start
     z3 = (1, host.a, 1, u.j, 1, u.k)
-    points: set[Point] = set()
-    for i0, i1, j0, j1, rows in ambient:
-        for k0, k1 in rows:
-            box = (i0, i1, j0, j1, k0, k1)
-            points.update(zones(host, u).z3 if box == z3 else host.box_points(box[::2], box[1::2]))
+    boxes = [(i0, i1, j0, j1, k0, k1) for i0, i1, j0, j1, rows in ambient for k0, k1 in rows]
+    others = [b for b in boxes if b != z3]
+    points = {p for p in host.points()
+              if any(i0 <= p.i <= i1 and j0 <= p.j <= j1 and k0 <= p.k <= k1
+                     for i0, i1, j0, j1, k0, k1 in others)}
+    if z3 in boxes:
+        points |= zones(host, u).z3
     return reduce_points(points)
 
 
-def _reduced_state(red: Diagram, values, start, flavor: str):
+def _reduced_state(red: Diagram, values, start, flavor: str) -> SuffixState:
     """The suffix state of the reduced ambient ``red`` at ``start`` (see
-    :func:`_zone_pieces`), mapped forward through the value maps, with the
-    value maps.  Raises ``ValueError`` when the start is not in the
-    ambient."""
+    :func:`_zone_pieces`), mapped forward through the value maps.  Raises
+    ``ValueError`` when the start is not in the ambient."""
     if start is None:
-        state = _first_state(red, flavor)
-    elif start is PAST_LAYER_1:
-        state = SuffixState(red, PAST_LAYER_1, flavor)
-    else:
-        (ivals, jvals, kvals), (i, j, k) = values, start
-        state = SuffixState(red, Point(ivals.index(i) + 1, jvals.index(j) + 1, kvals.index(k) + 1), flavor)
-    return state, values
+        return _first_state(red, flavor)
+    if start is PAST_LAYER_1:
+        return SuffixState(red, PAST_LAYER_1, flavor)
+    (ivals, jvals, kvals), (i, j, k) = values, start
+    return SuffixState(red, Point(ivals.index(i) + 1, jvals.index(j) + 1, kvals.index(k) + 1), flavor)
 
 
 def _mismatch(s: SuffixState, why: str) -> LinkMismatch:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import kernels
-from .diagram import Diagram, Point, has_projection_property
-from .errors import InsufficientDegree, TooLarge
+from .diagram import Diagram, Point, _is_int, has_projection_property
+from .errors import InsufficientDegree, InvalidInput, TooLarge
 from .minors import leading_edges, two_minors
 
 DEFAULT_FACET_LIMIT = 24
@@ -135,7 +135,10 @@ def hilbert_function(
     diagram: Diagram, degree: int, product_limit: int = DEFAULT_PRODUCT_LIMIT
 ) -> HilbertTable:
     """H(l) = number of distinct products of l generators, for l = 0..degree,
-    by iterated set convolution of exponent vectors."""
+    by iterated set convolution of exponent vectors.  Raises InvalidInput
+    unless the degree is a non-negative int."""
+    if not (_is_int(degree) and degree >= 0):
+        raise InvalidInput(f"the Hilbert degree must be a non-negative integer, got {degree!r}")
     if degree >= 1 << (_SLOT_BITS - 1):
         raise TooLarge(f"degree {degree} would overflow the packed exponents")
     gens = [_exponent(diagram, p) for p in diagram.points()]

@@ -23,6 +23,11 @@ def partitions_up_to(cells: int) -> list[tuple[int, ...]]:
     return out
 
 
+def layer_points(diagram: Diagram, i: int) -> tuple[Point, ...]:
+    """The points of the x = i layer, in lexicographic order."""
+    return tuple(p for p in diagram.points() if p.i == i)
+
+
 def permute_axes(diagram: Diagram, perm: tuple[int, int, int]) -> Diagram:
     """Diagram image under a coordinate permutation (always Ferrers)."""
     pts = [Point(*(tuple(p)[t] for t in perm)) for p in diagram.points()]
@@ -42,7 +47,7 @@ def order_key(diagram: Diagram, flavor: str):
 
 def first_layer_order(diagram: Diagram, flavor: str) -> tuple[Point, ...]:
     """The first layer sorted by :func:`order_key`."""
-    return tuple(sorted(diagram.layer_points(1), key=order_key(diagram, flavor)))
+    return tuple(sorted(layer_points(diagram, 1), key=order_key(diagram, flavor)))
 
 
 def walked_order(diagram: Diagram, flavor: str) -> tuple[Point, ...]:

@@ -66,6 +66,11 @@ class TestCheck:
         code, out, err = run(capsys, "check", '{"generators": [[true, 1, 1]]}')
         assert code == 2 and err and not out
 
+    def test_float_generator_equal_to_another_rejected(self, capsys):
+        # a set of the generators would keep only the int one
+        code, out, err = run(capsys, "invariants", '{"generators": [[2, 2, 2], [2, 2, 2.0]]}')
+        assert code == 2 and err and not out
+
 
 class TestInvariants:
     def test_box(self, capsys):

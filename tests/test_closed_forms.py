@@ -43,6 +43,12 @@ class TestRectangular:
                 assert rect_multiplicity(*perm) == rect_multiplicity(a, b, c)
                 assert rect_regularity(*perm) == rect_regularity(a, b, c)
 
+    @pytest.mark.parametrize("dims", [(0, 1, 1), (2.0, 2, 2), (0, 0, 5), (True, 2, 2), (2, 2, "2")])
+    def test_bad_dimensions_rejected(self, dims):
+        for closed_form in (rect_multiplicity, rect_regularity):
+            with pytest.raises(InvalidInput):
+                closed_form(*dims)
+
     def test_matches_engine_and_oracle_small(self):
         eng = Engine()
         for a, b, c in itertools.product(range(1, 4), repeat=3):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import first_layer_order, order_key, permute_axes, walked_order
+from conftest import first_layer_order, layer_points, order_key, permute_axes, walked_order
 from ferrers3d import (
     Point,
     box,
@@ -235,7 +235,7 @@ def all_states(diagrams):
     return [SuffixState(d, start, flavor)
             for d in diagrams
             for flavor in (INDUCTION, LEX)
-            for start in d.layer_points(1) + (PAST_LAYER_1,)]
+            for start in layer_points(d, 1) + (PAST_LAYER_1,)]
 
 
 def constructed_links(monkeypatch, runs):
@@ -266,14 +266,14 @@ class TestColumnLink:
         for s in states:
             _, ambient, start = engine_module._zone_pieces(s)
             columns = engine_module._piece_columns(s.host, ambient)
-            link, values = engine_module._reduced_state(*reduce_columns(columns), start, s.flavor)
-            reference = engine_module._reduced_state(*engine_module._point_reduction(s, ambient), start, s.flavor)
-            assert (link, values) == reference, s
+            reduced = reduce_columns(columns)
+            assert reduced == engine_module._point_reduction(s, ambient), s
+            link = engine_module._reduced_state(*reduced, start, s.flavor)
             # the target check's column form of the realized set, mapped
             # back, against the realized point set mapped back
             if s.flavor == INDUCTION:
                 link = successor(link)
-            ivals, jvals, kvals = values
+            ivals, jvals, kvals = values = reduced[1]
             assert {(i, j, k) for i, (js, shapes) in engine_module._back_columns(link, values, columns).items()
                     for j, ivs in zip(js, shapes) for lo, hi in ivs for k in range(lo, hi + 1)} == \
                 {(ivals[i - 1], jvals[j - 1], kvals[k - 1]) for i, j, k in realized_set(link)}, s
@@ -450,14 +450,14 @@ class TestTraversal:
         multi = [d for d in enumerate_diagrams(3, 3, 3) if d.a > 1]
         assert multi
         for d in multi:
-            assert Diagram(d.layers[1:]) == reduce_points(d.deep_points)[0]
+            assert Diagram(d.layers[1:]) == reduce_points(p for p in d.points() if p.i >= 2)[0]
 
     def test_realized_sets_and_successors_follow_the_order_key(self):
         # reference: the deep points plus the first-layer points whose order
         # key is at least the start's, and successors in key order
         for d in enumerate_diagrams(3, 3, 3):
             deep = {p for p in d.points() if p.i >= 2}
-            first = d.layer_points(1)
+            first = layer_points(d, 1)
             for flavor in (INDUCTION, LEX):
                 key = order_key(d, flavor)
                 for u in first:

@@ -13,7 +13,7 @@ from ferrers3d import (
     toric_gb_check,
     validate,
 )
-from ferrers3d.errors import InsufficientDegree, TooLarge
+from ferrers3d.errors import InsufficientDegree, InvalidInput, TooLarge
 from ferrers3d.families import enumerate_diagrams
 from ferrers3d.oracle import complex_summary
 
@@ -113,6 +113,15 @@ class TestHilbert:
     def test_insufficient_degree(self):
         with pytest.raises(InsufficientDegree):
             hilbert_invariants(box(2, 2, 2), degree=3)
+
+    @pytest.mark.parametrize("degree", [-3, -1, 2.0, True, None])
+    def test_bad_degree_rejected(self, degree):
+        with pytest.raises(InvalidInput):
+            hilbert_function(box(2, 2, 2), degree)
+
+    def test_negative_table_length_rejected(self):
+        with pytest.raises(InvalidInput):
+            hilbert_invariants(box(1, 1, 1), degree=-1)
 
     def test_work_limit(self):
         with pytest.raises(TooLarge):
