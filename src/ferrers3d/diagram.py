@@ -209,9 +209,9 @@ def validate(layers: Iterable[Iterable[int]]) -> Diagram:
 
 
 def _check_point(p: object, refusal: str = "is not a triple of integers") -> Point:
-    """p as a Point.  Raises InvalidInput, saying that p ``refusal``, unless
-    p is a tuple or list of three ints; a bool or a float is not an int
-    here, though True == 1 == 1.0."""
+    """p as a Point.  Unless p is a tuple or list of three ints, raises
+    InvalidInput with the message "<p> <refusal>"; a bool or a float is not
+    an int here, though True == 1 == 1.0."""
     if not (isinstance(p, (tuple, list)) and len(p) == 3
             and type(p[0]) is type(p[1]) is type(p[2]) is int):
         raise InvalidInput(f"{p!r} {refusal}")
