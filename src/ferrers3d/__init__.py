@@ -6,8 +6,6 @@ by a vertex-shedding recursion and cross-validated by brute-force oracles.
 from .diagram import (
     Diagram,
     Point,
-    ZoneMap,
-    alpha_beta_gamma,
     box,
     diagram_from_json,
     diagram_to_json,
@@ -23,12 +21,7 @@ from .minors import (
     Binomial2Minor,
     two_minors,
 )
-from .engine import (
-    PAST_LAYER_1,
-    Engine,
-    SuffixState,
-    canonical_key,
-)
+from .engine import Engine
 from .oracle import (
     ComplexSummary,
     GBCheckReport,

@@ -16,19 +16,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .diagram import Diagram, _check_box, _is_int, has_strong_projection_property, profile
+from .diagram import Diagram, _check_box, has_strong_projection_property, profile, validate
 from .errors import HypothesisFailed, InvalidInput, UnsupportedDiagram
-
-
-def as_partition(parts: Sequence[int]) -> tuple[int, ...]:
-    parts = tuple(parts)
-    if not parts:
-        raise InvalidInput("a partition needs at least one part")
-    if any(not _is_int(p) or p < 1 for p in parts):
-        raise InvalidInput("partition parts must be positive integers")
-    if any(parts[t] < parts[t + 1] for t in range(len(parts) - 1)):
-        raise InvalidInput("partition parts must be weakly decreasing")
-    return parts
 
 
 def rect_multiplicity(a: int, b: int, c: int) -> int:
@@ -55,9 +44,10 @@ def ferrers2d_regularity(parts: Sequence[int]) -> int:
     one-sided ladder determinantal ring of 2-minors whose h-polynomial
     counts those paths by their turns (Corso-Nagel, Monomial and toric
     ideals associated to Ferrers graphs, Trans. AMS 2009).  Like the ring,
-    the value is invariant under conjugation.
+    the value is invariant under conjugation.  The parts are checked as one
+    layer of :func:`validate`.
     """
-    parts = as_partition(parts)
+    parts = validate([parts]).layers[0]
     n = len(parts)
     return min([parts[j - 1] + j - 3 for j in range(2, n + 1)] + [n - 1])
 
@@ -66,8 +56,9 @@ def ferrers2d_multiplicity(parts: Sequence[int]) -> int:
     """Multiplicity of the toric ring of a two-dimensional diagram: the
     number of lattice paths inside the shape from its bottom-left cell to
     its top-right cell (Corso-Nagel, Trans. AMS 2009), counted row by row
-    upward by prefix sums."""
-    parts = as_partition(parts)
+    upward by prefix sums.  The parts are checked as one layer of
+    :func:`validate`."""
+    parts = validate([parts]).layers[0]
     ways = [1] * parts[-1]
     for width in reversed(parts[:-1]):
         ways = list(accumulate(ways + [0] * (width - len(ways))))
@@ -94,10 +85,15 @@ def segre_combine(factors: Sequence[SegreFactor]) -> SegreFactor:
     dim = sum of dims - (s-1); mult = multinomial over (dim_i - 1) times the
     product of the factor multiplicities; reg = max of the regs when every
     factor is one-dimensional, else dim - max(dim_i - reg_i), which needs
-    reg_i < dim_i for every factor.
+    reg_i < dim_i for every factor.  Raises InvalidInput unless the factors
+    are a nonempty collection of ``SegreFactor``.
     """
-    if not factors:
-        raise InvalidInput("need at least one factor")
+    try:
+        factors = tuple(factors)
+    except TypeError as exc:
+        raise InvalidInput(f"the factors must be a collection of SegreFactor ({exc})") from None
+    if not factors or not all(isinstance(f, SegreFactor) for f in factors):
+        raise InvalidInput("need at least one factor, each a SegreFactor")
     if len(factors) == 1:
         return factors[0]
     if any(f.dim < 1 for f in factors):

@@ -175,10 +175,14 @@ def validate(layers: Iterable[Iterable[int]]) -> Diagram:
     """Build a diagram from layer height lists, checking all invariants.
 
     Raises NotFerrers (naming the violating coordinates) when heights grow
-    along a row, layers grow along x, or an entry is nonpositive; raises
-    InvalidInput on structurally empty data.
+    along a row, layers grow along x, or an entry is not a positive int;
+    raises InvalidInput on structurally empty data and on layers that are
+    not iterable.
     """
-    rows = tuple(tuple(layer) for layer in layers)
+    try:
+        rows = tuple(tuple(layer) for layer in layers)
+    except TypeError as exc:
+        raise InvalidInput(f"the layers must be a collection of height lists ({exc})") from None
     if not rows:
         raise InvalidInput("a diagram needs at least one layer")
     for i, layer in enumerate(rows, start=1):
@@ -218,10 +222,16 @@ def _check_point(p: object, refusal: str = "is not a triple of integers") -> Poi
     return p if type(p) is Point else Point(*p)
 
 
+def _check_int(value: object, low: int, what: str) -> None:
+    """Raises InvalidInput unless value is an int (not a bool) >= low."""
+    if not (_is_int(value) and value >= low):
+        raise InvalidInput(f"{what} must be an integer >= {low}, got {value!r}")
+
+
 def _check_box(a: int, b: int, c: int) -> None:
-    """Raises InvalidInput unless the box dimensions are positive ints."""
-    if not all(_is_int(n) and n >= 1 for n in (a, b, c)):
-        raise InvalidInput(f"box dimensions must be positive integers, got {a!r} x {b!r} x {c!r}")
+    """Raises InvalidInput unless the box sides are positive ints."""
+    for side in (a, b, c):
+        _check_int(side, 1, "a box side")
 
 
 def box(a: int, b: int, c: int) -> Diagram:
@@ -232,10 +242,11 @@ def box(a: int, b: int, c: int) -> Diagram:
 
 def from_generators(gens: Iterable[Sequence[int]]) -> Diagram:
     """Smallest Ferrers diagram containing every generator (downward
-    closure); each must be a triple of positive ints (InvalidInput)."""
+    closure); there must be one, and each must be a triple of positive ints
+    (InvalidInput)."""
     pts = [Point(*g) for g in _int_triples(gens)]
-    if min(map(min, pts)) < 1:
-        raise InvalidInput("generator coordinates must be positive")
+    if not pts or min(map(min, pts)) < 1:
+        raise InvalidInput("need at least one generator, each with positive coordinates")
     a = max(p.i for p in pts)
     layers = []
     for i in range(1, a + 1):
@@ -243,38 +254,6 @@ def from_generators(gens: Iterable[Sequence[int]]) -> Diagram:
         width = max(p.j for p in covering)
         layers.append(tuple(max(p.k for p in covering if p.j >= j) for j in range(1, width + 1)))
     return Diagram(tuple(layers))
-
-
-def _point_set(points: Iterable[Sequence[int]]) -> Collection[Sequence[int]]:
-    """The points without repeats; a set or frozenset is taken as it is.
-    Raises InvalidInput on a point that is not iterable or not hashable."""
-    if isinstance(points, (set, frozenset)):
-        pts = points
-    else:
-        try:
-            pts = {tuple(p) for p in points}
-        except TypeError as exc:
-            raise InvalidInput(f"every point must be a triple of integers ({exc})") from None
-    if not pts:
-        raise InvalidInput("empty point set")
-    return pts
-
-
-def _axis_values(pts: Collection[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """The sorted distinct values of each axis.  Raises InvalidInput on a
-    point that is not a triple, and on a bool or non-integer value; only
-    the distinct values are inspected."""
-    try:
-        axes = tuple(set(axis) for axis in zip(*pts, strict=True))
-    except ValueError:  # points of different lengths
-        axes = ()
-    if len(axes) != 3:
-        raise InvalidInput("every point must have exactly three coordinates")
-    for values in axes:
-        if not all(map(_is_int, values)):
-            bad = next(v for v in values if not _is_int(v))
-            raise InvalidInput(f"coordinate {bad!r} is not an integer")
-    return tuple(tuple(sorted(values)) for values in axes)
 
 
 def _column_heights(pts: Collection[Sequence[int]]) -> dict[tuple[int, int], int]:
@@ -305,20 +284,20 @@ def _from_heights(heights: dict[tuple[int, int], int], size: int) -> Diagram:
     return diag
 
 
-def _int_triples(points: Iterable[Sequence[int]]) -> Collection[Sequence[int]]:
-    """The points without repeats.  Raises InvalidInput unless each is a
-    triple of ints; a set cannot tell True or 1.0 from 1, so every given
-    coordinate's type is read."""
+def _int_triples(points: Iterable[Sequence[int]]) -> set[tuple[int, ...]]:
+    """The points as a set of tuples, possibly empty.  Raises InvalidInput
+    unless each is a triple of ints; a set cannot tell True or 1.0 from 1,
+    so the type of every given coordinate is read, in one pass over them."""
     try:
-        points = list(points)
+        pts = list(points)
+        lengths = set(map(len, pts))
+        kinds = set(map(type, chain.from_iterable(pts)))
     except TypeError as exc:
         raise InvalidInput(f"the points must be a collection of triples ({exc})") from None
-    pts = _point_set(points)
-    _axis_values(pts)  # rejects non-triples and non-integer coordinates
-    if set(map(type, chain.from_iterable(points))) - {int}:
-        bad = next(v for v in chain.from_iterable(points) if type(v) is not int)
-        raise InvalidInput(f"coordinate {bad!r} is not an integer")
-    return pts
+    if lengths - {3} or kinds - {int}:
+        bad = next(p for p in pts if len(p) != 3 or set(map(type, p)) != {int})
+        raise InvalidInput(f"{bad!r} is not a triple of integers")
+    return set(map(tuple, pts))
 
 
 def from_points(points: Iterable[Sequence[int]]) -> Diagram:
@@ -337,16 +316,17 @@ def reduce_points(
     axis; original value ``vals[axis][t-1]`` maps to coordinate ``t`` in the
     reduced diagram.  The ranks are applied to the column heights, which
     the one pass over the points yields, so no reduced point set is built.
-    Raises NotFerrers if the collapsed set is still not downward closed.
-
-    Unlike :func:`from_points` it inspects only each axis's distinct values,
-    so a bool equal to an integer already on its axis passes as that
-    integer.  It is not exported: it is the engine's small-host reference
-    for links, whose ambient sets are subsets of a host's own points, and
-    the tests' reference for :func:`reduce_columns`.
+    Raises InvalidInput, as :func:`from_points` does, unless the points are
+    a nonempty collection of int triples, and NotFerrers if the collapsed
+    set is still not downward closed.  It is not exported: it is the
+    engine's small-host reference for links, whose ambient sets are subsets
+    of a host's own points, and the tests' reference for
+    :func:`reduce_columns`.
     """
-    pts = _point_set(points)
-    values = _axis_values(pts)
+    pts = _int_triples(points)
+    if not pts:
+        raise InvalidInput("empty point set")
+    values = tuple(tuple(sorted(set(axis))) for axis in zip(*pts))
     imap, jmap, kmap = (dict(zip(axis, range(1, len(axis) + 1))) for axis in values)
     heights = {(imap[i], jmap[j]): kmap[h] for (i, j), h in _column_heights(pts).items()}
     return _from_heights(heights, len(pts)), values

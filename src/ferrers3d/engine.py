@@ -62,7 +62,7 @@ from .diagram import (
     reduce_points,
     zones,
 )
-from .errors import InvalidInput, LinkMismatch, NotFerrers, NotNormal, TooLarge, UnsupportedDiagram
+from .errors import InvalidInput, LinkMismatch, NotNormal, TooLarge, UnsupportedDiagram
 from .oracle import InvariantsReport
 
 #: Largest host size whose links and normality verdicts are also checked
@@ -386,7 +386,7 @@ class Engine:
             reduced = reduce_columns(columns)
             reference = _point_reduction(s, ambient) if s.host.size <= VALIDATE_LIMIT else reduced
             state = _reduced_state(*reduced, start, s.flavor)
-        except (NotFerrers, InvalidInput, ValueError) as exc:
+        except (InvalidInput, ValueError) as exc:
             raise _mismatch(s, f"cannot be built from its ambient set ({exc})") from exc
         if reference != reduced:  # the start is read off the same value maps
             raise _mismatch(s, "differs from its point-set construction")

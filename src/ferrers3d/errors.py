@@ -6,15 +6,19 @@ class Ferrers3DError(Exception):
 
 
 class InvalidInput(Ferrers3DError):
-    """Malformed input (empty data, bad coordinates, bad JSON shape)."""
+    """A bad argument to a public function: empty data, a value of the wrong
+    type (a bool or a float is not an int) or out of range, or a bad JSON
+    shape.  Nothing is coerced, and a bad argument raises this or a subclass
+    and nothing else; a parameter typed ``Diagram`` given something else is
+    outside that contract and fails as Python does."""
 
 
-class NotFerrers(Ferrers3DError):
+class NotFerrers(InvalidInput):
     """The data violates the downward-closure conditions; the message names
     the offending coordinates."""
 
 
-class NotInDiagram(Ferrers3DError):
+class NotInDiagram(InvalidInput):
     """A reference point does not belong to the diagram."""
 
 

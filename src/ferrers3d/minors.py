@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import AbstractSet, Collection, Container, Iterable, Iterator
 
-from .diagram import Point
+from .diagram import Point, _int_triples
 from .errors import InvalidInput, NotInDiagram
 
 
@@ -82,9 +82,10 @@ def two_minors(points: Iterable[Point]) -> tuple[Binomial2Minor, ...]:
     (lead, trail).
 
     The same unordered {lead, trail} pair arising from several axes or pair
-    orderings is emitted once, with every applicable axis recorded.
+    orderings is emitted once, with every applicable axis recorded.  Raises
+    InvalidInput unless the points are int triples, none negative.
     """
-    point, w = _pack([Point(*p) for p in points])
+    point, w = _pack([Point(*p) for p in _int_triples(points)])
     found: dict[tuple[tuple[int, int], tuple[int, int]], set[str]] = {}
     for axis, u, v, p, q in _scan(combinations(sorted(point), 2), point, w):
         pq = (p, q) if p < q else (q, p)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import kernels
-from .diagram import Diagram, Point, _is_int, has_projection_property
-from .errors import InsufficientDegree, InvalidInput, TooLarge
+from .diagram import Diagram, Point, _check_int, has_projection_property
+from .errors import InsufficientDegree, TooLarge
 from .minors import leading_edges, two_minors
 
 DEFAULT_FACET_LIMIT = 24
@@ -71,7 +71,8 @@ def _h_from_f(f_vector: Sequence[int], d: int) -> tuple[int, ...]:
 
 def complex_summary(points: Iterable[Point], limit: int = DEFAULT_FACET_LIMIT) -> ComplexSummary:
     """Summary of the independence complex of the leading-pair graph on the
-    collection."""
+    collection.  Raises InvalidInput unless the limit is an int >= 1."""
+    _check_int(limit, 1, "the facet limit")
     verts = sorted({Point(*p) for p in points})
     if len(verts) > limit:
         raise TooLarge(f"{len(verts)} vertices exceed the facet limit {limit}")
@@ -136,9 +137,9 @@ def hilbert_function(
 ) -> HilbertTable:
     """H(l) = number of distinct products of l generators, for l = 0..degree,
     by iterated set convolution of exponent vectors.  Raises InvalidInput
-    unless the degree is a non-negative int."""
-    if not (_is_int(degree) and degree >= 0):
-        raise InvalidInput(f"the Hilbert degree must be a non-negative integer, got {degree!r}")
+    unless the degree is an int >= 0 and the product limit an int >= 1."""
+    _check_int(degree, 0, "the Hilbert degree")
+    _check_int(product_limit, 1, "the product limit")
     if degree >= 1 << (_SLOT_BITS - 1):
         raise TooLarge(f"degree {degree} would overflow the packed exponents")
     gens = [_exponent(diagram, p) for p in diagram.points()]
@@ -261,7 +262,11 @@ def toric_gb_check(
 
     The budget ``monomial_limit`` charges each monomial its degree, the length
     of the tuple it is built and rewritten as: sum_l l * C(n + l - 1, l).
+    Raises InvalidInput unless max_degree is an int >= 2 and the budget an
+    int >= 1.
     """
+    _check_int(max_degree, 2, "the maximum degree")
+    _check_int(monomial_limit, 1, "the monomial limit")
     pts = sorted(diagram.points())
     work = 0
     for l in range(2, max_degree + 1):

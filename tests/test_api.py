@@ -4,9 +4,8 @@ import ferrers3d
 # back unnoticed; a new one belongs here only with a user path that calls it.
 PUBLIC = [
     "Binomial2Minor", "ComplexSummary", "Diagram", "Engine", "GBCheckReport",
-    "HilbertTable", "InvariantsReport", "PAST_LAYER_1", "Point", "ProfileBounds",
-    "SegreFactor", "SuffixState", "ZoneMap", "alpha_beta_gamma", "box",
-    "canonical_key", "closed_forms", "diagram", "diagram_from_json",
+    "HilbertTable", "InvariantsReport", "Point", "ProfileBounds", "SegreFactor",
+    "box", "closed_forms", "diagram", "diagram_from_json",
     "diagram_to_json", "engine", "errors", "ferrers2d_multiplicity",
     "ferrers2d_regularity", "from_generators", "from_points",
     "has_projection_property", "has_strong_projection_property",

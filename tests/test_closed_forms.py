@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import partitions_up_to
@@ -11,6 +11,7 @@ from ferrers3d import (
     ferrers2d_multiplicity,
     ferrers2d_regularity,
     from_generators,
+    has_projection_property,
     has_strong_projection_property,
     mu_bound,
     oracle_invariants,
@@ -20,12 +21,17 @@ from ferrers3d import (
     segre_combine,
     validate,
 )
-from ferrers3d.closed_forms import SegreFactor, as_partition
+from ferrers3d.closed_forms import SegreFactor
 from ferrers3d.engine import Engine
 from ferrers3d.errors import HypothesisFailed, InvalidInput, UnsupportedDiagram
 from ferrers3d.families import enumerate_diagrams
 
 CLOSURE = from_generators([(1, 3, 2), (2, 2, 3)])
+
+#: Partitions inside a 30x30 square, in decreasing order; the number of
+#: parts is drawn first, so that long ones are as likely as short ones.
+PARTITIONS_30 = st.integers(1, 30).flatmap(lambda m: st.lists(st.integers(1, 30), min_size=m, max_size=m)).map(
+    lambda raw: sorted(raw, reverse=True))
 
 
 class TestRectangular:
@@ -76,14 +82,10 @@ class TestFerrers2D:
         assert ferrers2d_multiplicity((1,) * 5000) == 1
 
     def test_partition_validation(self):
-        with pytest.raises(InvalidInput):
-            as_partition(())
-        with pytest.raises(InvalidInput):
-            as_partition((1, 2))
-        with pytest.raises(InvalidInput):
-            as_partition((2, 0))
-        with pytest.raises(InvalidInput):
-            as_partition((True, True))
+        for parts in [(), (1, 2), (2, 0), (True, True), (2.0, 1), None, 3, "21", [[2], [1]]]:
+            for closed_form in (ferrers2d_regularity, ferrers2d_multiplicity):
+                with pytest.raises(InvalidInput):
+                    closed_form(parts)
 
     def test_ambiguous_case(self):
         # shapes where the old corner-count rule left reg in {2, 3}; the
@@ -119,6 +121,15 @@ class TestFerrers2D:
             rep = eng.invariants(d)
             assert rep.reg == ferrers2d_regularity(lam), lam
             assert rep.mult == ferrers2d_multiplicity(lam), lam
+
+    @settings(max_examples=25, deadline=None)
+    @given(PARTITIONS_30)
+    @example([30] * 30)
+    def test_engine_matches_one_layer_diagrams(self, lam):
+        # the same at any size up to 1x30x30, where no oracle reaches
+        rep = Engine().invariants(validate([lam]))
+        expected = (len(lam) + lam[0] - 1, ferrers2d_regularity(lam), ferrers2d_multiplicity(lam))
+        assert (rep.ring_dim, rep.reg, rep.mult) == expected
 
 
 class TestMuBound:
@@ -156,6 +167,27 @@ class TestSegre:
     def test_hypothesis_failure(self):
         with pytest.raises(HypothesisFailed):
             segre_combine([SegreFactor(2, 2, 1), SegreFactor(3, 0, 1)])
+
+    @pytest.mark.parametrize("factors", [[], [(1, 0, 1), (2, 0, 1)], [SegreFactor(1, 0, 1), None],
+                                         None, 3, "ab"])
+    def test_factors_must_be_segre_factors(self, factors):
+        with pytest.raises(InvalidInput):
+            segre_combine(factors)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=5), st.integers(1, 6))
+    def test_engine_matches_prisms(self, raw, n):
+        # P x [n] is the Segre product of the 2-D ring of P and a polynomial
+        # ring in n variables (Goto-Watanabe, J. Math. Soc. Japan 1978), with
+        # P in the xy, xz or yz plane; only projection-property draws count
+        lam = sorted(raw, reverse=True)
+        flat = SegreFactor(len(lam) + lam[0] - 1, ferrers2d_regularity(lam), ferrers2d_multiplicity(lam))
+        expected = segre_combine([flat, SegreFactor(n, 0, 1)])
+        for layers in ([[n] * p for p in lam], [[p] * n for p in lam], [lam] * n):
+            d = validate(layers)
+            if has_projection_property(d):
+                rep = Engine().invariants(d)
+                assert (rep.ring_dim, rep.reg, rep.mult) == (expected.dim, expected.reg, expected.mult), layers
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.integers(1, 5), st.integers(0, 3)), min_size=2, max_size=4))

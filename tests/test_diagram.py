@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ferrers3d import (
     Point,
-    alpha_beta_gamma,
     box,
     diagram_from_json,
     diagram_to_json,
@@ -16,11 +15,12 @@ from ferrers3d import (
     has_projection_property,
     has_strong_projection_property,
     profile,
+    two_minors,
     validate,
     zones,
 )
 from conftest import layer_points, walked_order
-from ferrers3d.diagram import INDUCTION, LEX, merge_intervals, reduce_columns, reduce_points
+from ferrers3d.diagram import INDUCTION, LEX, alpha_beta_gamma, merge_intervals, reduce_columns, reduce_points
 from ferrers3d.errors import InvalidInput, NotFerrers, NotInDiagram
 from ferrers3d.families import count_at_most, count_diagrams, enumerate_diagrams, sample_diagrams
 
@@ -190,6 +190,11 @@ class TestConstruction:
         with pytest.raises(NotFerrers):
             validate([[2, 0]])
 
+    @pytest.mark.parametrize("layers", [None, 3, [None], [[2], 1], [[2, 1], [[1]]]])
+    def test_validate_rejects_what_is_not_layers(self, layers):
+        with pytest.raises(InvalidInput):
+            validate(layers)
+
     def test_from_points_requires_closure(self):
         with pytest.raises(NotFerrers):
             from_points([(1, 1, 1), (1, 1, 3)])
@@ -278,6 +283,12 @@ class TestReduction:
         # a set cannot tell these floats from the ints they equal
         (from_points, [(1, 1, 1), (1, 1, 1.0)]),
         (from_generators, [(2, 2, 2), (2, 2, 2.0)]),
+        # every coordinate's type is read, also where its value is on its axis
+        (reduce_points, [(1, 2, 1), (True, 1, 1)]),
+        (two_minors, [(1, 1, 1), (1, 1, True), (2, 2, 2)]),
+        (two_minors, [(1, 1, 1.5), (2, 2, 2)]),
+        (two_minors, [(1, 1), (2, 2, 2)]),
+        (two_minors, None),
     ])
     def test_non_integer_coordinates_rejected(self, build, pts):
         with pytest.raises(InvalidInput):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from conftest import first_layer_order
 from ferrers3d import (
     Point,
-    SuffixState,
     box,
     from_generators,
     has_projection_property,
@@ -13,6 +12,7 @@ from ferrers3d import (
     validate,
 )
 from ferrers3d.diagram import INDUCTION, LEX
+from ferrers3d.engine import SuffixState
 from ferrers3d.errors import InvalidInput, NotInDiagram
 from ferrers3d.families import enumerate_diagrams
 from ferrers3d.minors import is_normal_in, leading_edges

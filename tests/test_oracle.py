@@ -154,6 +154,27 @@ class TestHilbert:
             assert all(v == 0 for v in numerator[rep.reg + 1:])
 
 
+@pytest.mark.parametrize("oracle, args", [
+    (toric_gb_check, (-3,)),
+    (toric_gb_check, (True,)),
+    (toric_gb_check, (1,)),
+    (toric_gb_check, (1.5,)),
+    (toric_gb_check, (3, None)),
+    (toric_gb_check, (3, 0)),
+    (oracle_invariants, (-1,)),
+    (oracle_invariants, (2.5,)),
+    (oracle_invariants, (True,)),
+    (hilbert_function, (3, None)),
+    (hilbert_function, (3, -1)),
+    (hilbert_function, (3, 2.0)),
+])
+def test_bad_count_or_limit_rejected(oracle, args):
+    # refused as a bad argument before any work: never coerced, never run
+    # as zero work and never reported as a size refusal
+    with pytest.raises(InvalidInput):
+        oracle(box(2, 2, 2), *args)
+
+
 class TestGBCheck:
     def test_principal_case_holds(self):
         rep = toric_gb_check(box(2, 2, 1), 3)
