@@ -30,8 +30,9 @@ CLOSURE = from_generators([(1, 3, 2), (2, 2, 3)])
 
 #: Partitions inside a 30x30 square, in decreasing order; the number of
 #: parts is drawn first, so that long ones are as likely as short ones.
-PARTITIONS_30 = st.integers(1, 30).flatmap(lambda m: st.lists(st.integers(1, 30), min_size=m, max_size=m)).map(
-    lambda raw: sorted(raw, reverse=True))
+PARTITIONS_30 = (st.integers(1, 30)
+                 .flatmap(lambda m: st.lists(st.integers(1, 30), min_size=m, max_size=m))
+                 .map(lambda raw: sorted(raw, reverse=True)))
 
 
 class TestRectangular:
@@ -187,7 +188,8 @@ class TestSegre:
             d = validate(layers)
             if has_projection_property(d):
                 rep = Engine().invariants(d)
-                assert (rep.ring_dim, rep.reg, rep.mult) == (expected.dim, expected.reg, expected.mult), layers
+                assert (rep.ring_dim, rep.reg, rep.mult) == (expected.dim, expected.reg, expected.mult), \
+                    layers
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.integers(1, 5), st.integers(0, 3)), min_size=2, max_size=4))

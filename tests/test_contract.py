@@ -1,11 +1,13 @@
 """The library's input contract, over the whole public surface.
 
-Every callable in ``ferrers3d.__all__``, and ``Engine().invariants``, either
-returns or raises a ``Ferrers3DError`` whatever its parameters other than a
-``diagram`` are given; a bad argument raises ``InvalidInput``.  A ``diagram``
-parameter given something else is outside the contract, so it always gets a
-small valid diagram here.  The classes are records that store their fields
-unchecked, so constructing one returns.
+A bad argument raises ``InvalidInput`` and is never coerced; the tests
+beside each module pin that for the known bad inputs.  This test holds the
+whole surface to its weaker half on random draws: every callable in
+``ferrers3d.__all__``, and ``Engine().invariants``, either returns or raises
+a ``Ferrers3DError``, whatever its parameters other than a ``diagram`` are
+given.  A ``diagram`` parameter given something else is outside the
+contract, so it always gets a small valid diagram here.  The classes are
+records that store their fields unchecked, so constructing one returns.
 """
 
 import inspect
@@ -36,7 +38,9 @@ VALID = {
 
 #: Degrees and budgets, whose cost a budget bounds, also get huge ints.
 BOUNDED = {"degree", "max_degree", "product_limit", "monomial_limit", "limit"}
+HUGE = st.integers(min_value=2 ** 31)
 
+#: Negative ints, floats, bools, None, strings and nested lists.
 BAD = st.one_of(
     st.integers(max_value=-1),
     st.floats(),
@@ -58,11 +62,10 @@ def calls(draw):
     bad = draw(st.sampled_from(covered)) if covered else None
     kwargs = {}
     for p, param in params.items():
-        values = st.one_of(BAD, st.integers(min_value=2 ** 31)) if p in BOUNDED else BAD
         if p == "diagram":
             kwargs[p] = draw(st.sampled_from(DIAGRAMS))
         elif p == bad or (param.default is param.empty and p not in VALID):
-            kwargs[p] = draw(values)
+            kwargs[p] = draw(st.one_of(BAD, HUGE) if p in BOUNDED else BAD)
         elif param.default is param.empty:
             kwargs[p] = VALID[p]
     return name, kwargs
