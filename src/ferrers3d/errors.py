@@ -14,12 +14,12 @@ class InvalidInput(Ferrers3DError):
 
 
 class NotFerrers(InvalidInput):
-    """The data violates the downward-closure conditions; the message names
-    the offending coordinates."""
+    """Diagram data that violates the downward-closure conditions; the
+    message names the offending coordinates."""
 
 
 class NotInDiagram(InvalidInput):
-    """A reference point does not belong to the diagram."""
+    """A reference point argument does not belong to the diagram."""
 
 
 class NotNormal(Ferrers3DError):
