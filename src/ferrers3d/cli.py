@@ -55,10 +55,7 @@ def _load_diagram(text: str) -> Diagram:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise _CliFailure(EXIT_INPUT, f"invalid JSON: {exc}") from exc
-    try:
-        return diagram_from_json(data)
-    except Ferrers3DError as exc:
-        raise _CliFailure(EXIT_INPUT, str(exc)) from exc
+    return diagram_from_json(data)
 
 
 @contextmanager
@@ -238,7 +235,8 @@ def _cmd_gens(args) -> int:
 def _cmd_oracle(args) -> int:
     diagram = _load_diagram(args.diagram)
     out: dict = {"input": diagram_to_json(diagram)}
-    summary = oracle.complex_summary(diagram.points(), limit=args.limit)
+    with _internal_errors(diagram, "oracle"):
+        summary = oracle.complex_summary(diagram.points(), limit=args.limit)
     complex_json = {
         "facet_count": len(summary.facets),
         "pure": summary.pure,
@@ -428,7 +426,8 @@ def _cmd_search(args) -> int:
 
 def _cmd_gb_check(args) -> int:
     diagram = _load_diagram(args.diagram)
-    report = oracle.toric_gb_check(diagram, args.max_degree, monomial_limit=args.limit)
+    with _internal_errors(diagram, "oracle"):
+        report = oracle.toric_gb_check(diagram, args.max_degree, monomial_limit=args.limit)
     out: dict = {
         "input": diagram_to_json(diagram),
         "max_degree": args.max_degree,

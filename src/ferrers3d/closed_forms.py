@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .diagram import Diagram, _check_box, has_strong_projection_property, profile, validate
+from .diagram import Diagram, _check_box, _check_int, has_strong_projection_property, profile, validate
 from .errors import HypothesisFailed, InvalidInput, UnsupportedDiagram
 
 
@@ -86,7 +86,8 @@ def segre_combine(factors: Sequence[SegreFactor]) -> SegreFactor:
     product of the factor multiplicities; reg = max of the regs when every
     factor is one-dimensional, else dim - max(dim_i - reg_i), which needs
     reg_i < dim_i for every factor.  Raises InvalidInput unless the factors
-    are a nonempty collection of ``SegreFactor``.
+    are a nonempty collection of ``SegreFactor``, each with int fields
+    dim >= 1, reg >= 0 and mult >= 1.
     """
     try:
         factors = tuple(factors)
@@ -94,10 +95,12 @@ def segre_combine(factors: Sequence[SegreFactor]) -> SegreFactor:
         raise InvalidInput(f"the factors must be a collection of SegreFactor ({exc})") from None
     if not factors or not all(isinstance(f, SegreFactor) for f in factors):
         raise InvalidInput("need at least one factor, each a SegreFactor")
+    for f in factors:
+        _check_int(f.dim, 1, "a factor's dim")
+        _check_int(f.reg, 0, "a factor's reg")
+        _check_int(f.mult, 1, "a factor's mult")
     if len(factors) == 1:
         return factors[0]
-    if any(f.dim < 1 for f in factors):
-        raise HypothesisFailed("factors must have positive dimension")
     dim = sum(f.dim for f in factors) - (len(factors) - 1)
     shifted = [f.dim - 1 for f in factors]
     mult = math.factorial(sum(shifted))
@@ -135,15 +138,15 @@ def profile_bounds(diagram: Diagram) -> ProfileBounds:
         raise UnsupportedDiagram("profile bounds need the strong projection property")
     a, b, c = diagram.a, diagram.b, diagram.c
     part = profile(diagram, "xy")
-    profile_reg = (a + b + c - 2) - max(a + b - 1 - ferrers2d_regularity(part), c)
-    profile_mult = math.comb(a + b + c - 3, c - 1) * ferrers2d_multiplicity(part)
+    flat = SegreFactor(a + b - 1, ferrers2d_regularity(part), ferrers2d_multiplicity(part))
+    prism = segre_combine([flat, SegreFactor(c, 0, 1)])
     box_reg = rect_regularity(a, b, c)
     box_mult = rect_multiplicity(a, b, c)
     return ProfileBounds(
-        reg_bound=min(profile_reg, box_reg),
-        mult_bound=min(profile_mult, box_mult),
-        profile_reg_bound=profile_reg,
-        profile_mult_bound=profile_mult,
+        reg_bound=min(prism.reg, box_reg),
+        mult_bound=min(prism.mult, box_mult),
+        profile_reg_bound=prism.reg,
+        profile_mult_bound=prism.mult,
         box_reg_bound=box_reg,
         box_mult_bound=box_mult,
         profile_partition=part,

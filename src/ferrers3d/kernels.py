@@ -1,8 +1,9 @@
 """Enumeration kernels over bitmask adjacency, in pure Python.
 
-``adj[v]`` is the neighbor mask of vertex v.  Both enumeration functions
-treat faces of the independence complex: maximal independent sets, and
-counts of all independent sets by cardinality.
+``adj[v]`` is the neighbor mask of vertex v.  Both functions treat faces of
+the independence complex from an explicit stack: maximal independent sets
+by a pivoting search, and counts of all independent sets by size, without
+visiting them, by the vertex recurrence of the independence polynomial.
 """
 
 from __future__ import annotations
@@ -27,22 +28,21 @@ def maximal_independent_sets(adj: Sequence[int]) -> list[int]:
     """All maximal independent sets, as an ascending list of bitmasks.
 
     Runs pivoting branch and bound on the complement graph (maximal cliques
-    of the complement are maximal independent sets).
+    of the complement are maximal independent sets); each stack entry is a
+    branch (chosen, candidates, excluded).
     """
     n = len(adj)
-    if n == 0:
-        return [0]
     full = (1 << n) - 1
     comp = [full & ~adj[v] & ~(1 << v) for v in range(n)]
     out: list[int] = []
-
-    def extend(chosen: int, cand: int, excluded: int) -> None:
+    stack = [(0, full, 0)]
+    while stack:
+        chosen, cand, excluded = stack.pop()
         if cand == 0 and excluded == 0:
             out.append(chosen)
-            return
-        pool = cand | excluded
+            continue
         pivot, best = -1, -1
-        m = pool
+        m = cand | excluded
         while m:
             low = m & (-m)
             m ^= low
@@ -55,29 +55,30 @@ def maximal_independent_sets(adj: Sequence[int]) -> list[int]:
             low = m & (-m)
             m ^= low
             v = low.bit_length() - 1
-            extend(chosen | low, cand & comp[v], excluded & comp[v])
+            stack.append((chosen | low, cand & comp[v], excluded & comp[v]))
             cand &= ~low
             excluded |= low
-        return
-
-    extend(0, full, 0)
     out.sort()
     return out
 
 
 def count_independent_sets_by_size(adj: Sequence[int]) -> list[int]:
-    """counts[s] = number of independent sets of size s (counts[0] = 1)."""
+    """counts[s] = number of independent sets of size s (counts[0] = 1), from
+    I(c) = I(c - v) + t * I(c - N[v]), memoised by candidate mask c with lowest vertex v."""
     n = len(adj)
-    counts = [0] * (n + 1)
-
-    def rec(cand: int, size: int) -> None:
-        counts[size] += 1
-        m = cand
-        while m:
-            low = m & (-m)
-            m ^= low
-            v = low.bit_length() - 1
-            rec(m & ~adj[v], size + 1)
-
-    rec((1 << n) - 1, 0)
-    return counts
+    memo = {0: [1]}
+    stack = [(1 << n) - 1]
+    while stack:
+        c = stack.pop()
+        if c in memo:
+            continue
+        low = c & (-c)
+        rest = c ^ low
+        inner = rest & ~adj[low.bit_length() - 1]
+        if rest in memo and inner in memo:
+            head, tail = memo[rest], [0] + memo[inner]
+            memo[c] = [x + y for x, y in zip(head, tail)] + head[len(tail):] + tail[len(head):]
+        else:
+            stack += [c, rest, inner]
+    counts = memo[(1 << n) - 1]
+    return counts + [0] * (n + 1 - len(counts))

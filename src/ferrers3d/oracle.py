@@ -59,14 +59,13 @@ class HilbertTable:
     values: tuple[int, ...]
 
 
-def _h_from_f(f_vector: Sequence[int], d: int) -> tuple[int, ...]:
-    return tuple(
-        sum(
-            (-1) ** (k - i) * math.comb(d - i, k - i) * f_vector[i]
-            for i in range(0, k + 1)
-        )
-        for k in range(0, d + 1)
-    )
+def _h_from_f(f_vector: Sequence[int]) -> tuple[int, ...]:
+    """h-vector from (f_{-1}, ..., f_{d-1}), one face size at a time:
+    h <- (1 - t) * h + f_{i-1} * t^i for i = 0..d."""
+    h: list[int] = []
+    for f in f_vector:
+        h = [x - y for x, y in zip(h + [f], [0] + h)]
+    return tuple(h)
 
 
 def complex_summary(points: Iterable[Point], limit: int = DEFAULT_FACET_LIMIT) -> ComplexSummary:
@@ -84,7 +83,7 @@ def complex_summary(points: Iterable[Point], limit: int = DEFAULT_FACET_LIMIT) -
     counts = kernels.count_independent_sets_by_size(adj)
     d = max(len(f) for f in facets)
     f_vector = tuple(counts[: d + 1])
-    h_vector = _h_from_f(f_vector, d)
+    h_vector = _h_from_f(f_vector)
     if sum(h_vector) != f_vector[-1]:
         raise RuntimeError("h-vector transform is inconsistent with the face counts")
     pure = all(len(f) == d for f in facets)

@@ -429,11 +429,14 @@ class TestInternalErrors:
         assert code == 4 and not out
         assert "too deep" in err and "Traceback" not in err
 
-    def test_oracle_recursion_exits_four(self, capsys):
-        # the facet oracle searches a long chain one frame per vertex
-        code, out, err = run(capsys, "oracle", '{"layers": [[1200]]}', "--limit", "2000")
-        assert code == 4 and not out
-        assert "too deep" in err and "engine" not in err
+    def test_oracle_long_column_exits_zero(self, capsys):
+        # a column's graph has no edges, so its complex is one simplex; both
+        # kernels run from explicit stacks and count faces without visiting them
+        code, out, _ = run(capsys, "oracle", '{"layers": [[1200]]}', "--limit", "2000")
+        data = json.loads(out)
+        assert code == 0
+        assert data["complex"]["facet_count"] == 1
+        assert data["complex"]["h_vector"] == [1] + [0] * 1200
 
     def test_tall_box_needs_no_recursion(self, capsys):
         # one layer step per loop iteration: 400 layers at the default limit
@@ -490,8 +493,10 @@ class TestInternalErrors:
         ("oracle_invariants", ("invariants", NON_PP, "--oracle"), NON_PP),
         ("oracle_invariants", ("sweep", "--box", "2", "2", "2", "--oracle"), None),
         ("oracle_invariants", ("compare", '{"layers": [[1]]}', NON_PP), NON_PP),
+        ("complex_summary", ("oracle", BOX222), BOX222),
+        ("toric_gb_check", ("gb-check", BOX222), BOX222),
     ], ids=["invariants-oracle", "invariants-hilbert", "invariants-non-pp", "sweep-oracle",
-            "compare"])
+            "compare", "oracle", "gb-check"])
     def test_oracle_error_exits_three(self, capsys, monkeypatch, name, argv, reproduction):
         def broken(*args, **kwargs):
             raise RuntimeError("impure complex on a projection-property diagram")

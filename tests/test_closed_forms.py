@@ -170,7 +170,18 @@ class TestSegre:
             segre_combine([SegreFactor(2, 2, 1), SegreFactor(3, 0, 1)])
 
     @pytest.mark.parametrize("factors", [[], [(1, 0, 1), (2, 0, 1)], [SegreFactor(1, 0, 1), None],
-                                         None, 3, "ab"])
+                                         None, 3, "ab",
+                                         # fields of a factor, also on the one-factor shortcut
+                                         [SegreFactor(True, 0, 1), SegreFactor(2, 0, 1)],
+                                         [SegreFactor(3, -1, 1), SegreFactor(2, 0, 1)],
+                                         [SegreFactor(3, 0.5, 1), SegreFactor(2, 0, 1)],
+                                         [SegreFactor(3, 0, 0), SegreFactor(2, 0, 1)],
+                                         [SegreFactor(3, 0, -3), SegreFactor(2, 0, 1)],
+                                         [SegreFactor(1.5, 0, 1), SegreFactor(2, 0, 1)],
+                                         [SegreFactor(None, 0, 1), SegreFactor(2, 0, 1)],
+                                         [SegreFactor(0, 0, 1), SegreFactor(2, 0, 1)],
+                                         [SegreFactor(0, 0, 1)], [SegreFactor(2, -1, 1)],
+                                         [SegreFactor(2, 0, 0)]])
     def test_factors_must_be_segre_factors(self, factors):
         with pytest.raises(InvalidInput):
             segre_combine(factors)

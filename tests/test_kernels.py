@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -44,3 +45,10 @@ def _count_brute(adj, n):
                 break
         total += ok
     return total
+
+
+def test_edgeless_graph_past_the_recursion_limit():
+    # 2^1100 faces and one facet; both kernels run from explicit stacks
+    n = 1100
+    assert kernels.count_independent_sets_by_size([0] * n) == [math.comb(n, s) for s in range(n + 1)]
+    assert kernels.maximal_independent_sets([0] * n) == [(1 << n) - 1]
