@@ -237,6 +237,8 @@ def _cmd_oracle(args) -> int:
     out: dict = {"input": diagram_to_json(diagram)}
     with _internal_errors(diagram, "oracle"):
         summary = oracle.complex_summary(diagram.points(), limit=args.limit)
+        if args.hilbert_degree is not None:
+            table = oracle.hilbert_function(diagram, args.hilbert_degree)
     complex_json = {
         "facet_count": len(summary.facets),
         "pure": summary.pure,
@@ -248,7 +250,6 @@ def _cmd_oracle(args) -> int:
         complex_json["facets"] = [sorted(list(p) for p in f) for f in summary.facets]
     out["complex"] = complex_json
     if args.hilbert_degree is not None:
-        table = oracle.hilbert_function(diagram, args.hilbert_degree)
         out["hilbert"] = list(table.values)
     _emit(out)
     return EXIT_OK

@@ -117,40 +117,54 @@ def oracle_invariants(diagram: Diagram, limit: int = DEFAULT_FACET_LIMIT) -> Inv
 # ---------------------------------------------------------------------------
 
 
-_SLOT_BITS = 32
-
-
-def _exponent(diagram: Diagram, p: Point) -> int:
-    """Exponent vector of one generator, packed into one integer with a
-    32-bit slot per coordinate value; packed addition is exact as long as
-    every exponent stays below 2**32, which the degree guard ensures."""
-    return (
-        (1 << (_SLOT_BITS * (p.i - 1)))
-        + (1 << (_SLOT_BITS * (diagram.a + p.j - 1)))
-        + (1 << (_SLOT_BITS * (diagram.a + diagram.b + p.k - 1)))
-    )
+#: Bit positions in one row of the Hilbert count: the trailing exponent slots
+#: that one int holds.
+_ROW_BITS = 1 << 14
 
 
 def hilbert_function(
     diagram: Diagram, degree: int, product_limit: int = DEFAULT_PRODUCT_LIMIT
 ) -> HilbertTable:
-    """H(l) = number of distinct products of l generators, for l = 0..degree,
-    by iterated set convolution of exponent vectors.  Raises InvalidInput
-    unless the degree is an int >= 0 and the product limit an int >= 1."""
+    """H(l) = number of distinct products of l generators, for l = 0..degree.
+
+    Within one level each axis's exponents sum to l, so a product is its
+    exponents at the coordinate values 2.. of each axis: a+b+c-3 slots in
+    radix degree + 2, above every exponent, so sums never carry.  The
+    trailing slots that fit in ``_ROW_BITS`` are bit positions of one int and
+    the leading ones its dict key: one shift-and-OR multiplies a row of
+    products by a generator, and H(l) sums the bits.  Each level is charged
+    H(l) products per generator against ``product_limit``; a table that
+    cannot fit is refused before counting.  Raises InvalidInput unless the
+    degree is an int >= 0 and the product limit an int >= 1."""
     _check_int(degree, 0, "the Hilbert degree")
     _check_int(product_limit, 1, "the product limit")
-    if degree >= 1 << (_SLOT_BITS - 1):
-        raise TooLarge(f"degree {degree} would overflow the packed exponents")
-    gens = [_exponent(diagram, p) for p in diagram.points()]
-    level = {0}
-    values = [1]
-    work = 0
+    pts = diagram.points()
+    if degree * len(pts) > product_limit:  # every level holds a product
+        raise TooLarge(f"Hilbert counting would exceed {product_limit} products")
+    radix, slots = degree + 2, diagram.a + diagram.b + diagram.c - 3
+    row = 0
+    while row < slots and radix ** (row + 1) <= _ROW_BITS:
+        row += 1
+    groups: dict[int, list[int]] = {}
+    bases = (0, diagram.a - 1, diagram.a + diagram.b - 2)
+    for p in pts:
+        e = sum(radix ** (base + v - 2) for base, v in zip(bases, p) if v > 1)
+        key, shift = divmod(e, radix ** row)
+        groups.setdefault(key, []).append(shift)
+    level, values, work = {0: 1}, [1], 0
     for _ in range(degree):
-        work += len(level) * len(gens)
+        work += values[-1] * len(pts)
         if work > product_limit:
             raise TooLarge(f"Hilbert counting would exceed {product_limit} products")
-        level = {m + g for m in level for g in gens}
-        values.append(len(level))
+        nxt: dict[int, int] = {}
+        for key, bits in level.items():
+            for offset, shifts in groups.items():
+                acc = nxt.get(key + offset, 0)
+                for s in shifts:
+                    acc |= bits << s
+                nxt[key + offset] = acc
+        level = nxt
+        values.append(sum(map(int.bit_count, level.values())))
     return HilbertTable(tuple(values))
 
 

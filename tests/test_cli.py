@@ -495,8 +495,9 @@ class TestInternalErrors:
         ("oracle_invariants", ("compare", '{"layers": [[1]]}', NON_PP), NON_PP),
         ("complex_summary", ("oracle", BOX222), BOX222),
         ("toric_gb_check", ("gb-check", BOX222), BOX222),
+        ("hilbert_function", ("oracle", BOX222, "--hilbert-degree", "3"), BOX222),
     ], ids=["invariants-oracle", "invariants-hilbert", "invariants-non-pp", "sweep-oracle",
-            "compare", "oracle", "gb-check"])
+            "compare", "oracle", "gb-check", "oracle-hilbert"])
     def test_oracle_error_exits_three(self, capsys, monkeypatch, name, argv, reproduction):
         def broken(*args, **kwargs):
             raise RuntimeError("impure complex on a projection-property diagram")

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ferrers3d import (
     Point,
@@ -13,13 +15,58 @@ from ferrers3d import (
     toric_gb_check,
     validate,
 )
+from ferrers3d import oracle
 from ferrers3d.errors import InsufficientDegree, InvalidInput, TooLarge
 from ferrers3d.families import enumerate_diagrams
-from ferrers3d.oracle import complex_summary
+from ferrers3d.oracle import DEFAULT_PRODUCT_LIMIT, complex_summary
 
 
 def pts(*coords):
     return frozenset(Point(*c) for c in coords)
+
+
+# Reference form of the Hilbert count: the iterated set convolution of
+# exponent vectors, packed with a 32-bit slot per coordinate value, that the
+# bit-row count replaced.  Same budget, same refusal.
+
+
+def reference_hilbert_function(diagram, degree, product_limit=DEFAULT_PRODUCT_LIMIT):
+    gens = [(1 << 32 * (p.i - 1)) + (1 << 32 * (diagram.a + p.j - 1))
+            + (1 << 32 * (diagram.a + diagram.b + p.k - 1)) for p in diagram.points()]
+    level, values, work = {0}, [1], 0
+    for _ in range(degree):
+        work += len(level) * len(gens)
+        if work > product_limit:
+            raise TooLarge(f"Hilbert counting would exceed {product_limit} products")
+        level = {m + g for m in level for g in gens}
+        values.append(len(level))
+    return tuple(values)
+
+
+def table_or_refusal(count, *args):
+    try:
+        values = count(*args)
+    except TooLarge as exc:
+        return str(exc)
+    return getattr(values, "values", values)
+
+
+@st.composite
+def small_diagrams(draw, max_points=12):
+    """Diagrams of at most ``max_points`` points in [4] x [max_points] x
+    [max_points]: random layers, trailing layers (then trailing columns)
+    dropped until the size fits."""
+    layers, prev = [], (max_points,) * max_points
+    for _ in range(draw(st.integers(1, 4))):
+        width = draw(st.integers(1, len(prev)))
+        heights = (min(prev[j], draw(st.integers(1, max_points))) for j in range(width))
+        layers.append(sorted(heights, reverse=True))
+        prev = layers[-1]
+    while len(layers) > 1 and sum(map(sum, layers)) > max_points:
+        layers.pop()
+    while sum(layers[0]) > max_points:
+        layers[0].pop()
+    return validate(layers)
 
 
 class TestFacets:
@@ -126,6 +173,43 @@ class TestHilbert:
     def test_work_limit(self):
         with pytest.raises(TooLarge):
             hilbert_function(box(3, 3, 3), 10, product_limit=100)
+
+    def test_table_past_the_budget_refused_up_front(self):
+        # every level holds a product, so degree * points > limit cannot fit;
+        # the last call would take 10**12 levels to find that out by counting
+        d = validate([[1]])
+        assert hilbert_function(d, 1000, product_limit=1000).values == (1,) * 1001
+        with pytest.raises(TooLarge, match="would exceed 1000 products"):
+            hilbert_function(d, 1001, product_limit=1000)
+        with pytest.raises(TooLarge, match=f"would exceed {10**12 - 1} products"):
+            hilbert_function(d, 10**12, product_limit=10**12 - 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_diagrams(), st.integers(0, 10), st.integers(1, 10**5))
+    def test_equals_reference(self, d, degree, product_limit):
+        assert table_or_refusal(hilbert_function, d, degree, product_limit) == \
+            table_or_refusal(reference_hilbert_function, d, degree, product_limit)
+
+    @pytest.mark.parametrize("row_bits", [1, 2, 8, 64, 512])
+    def test_row_width_does_not_change_the_table(self, monkeypatch, row_bits):
+        # at degree 6 the radix is 8: no exponent slot in the int's bits at
+        # row widths 1 and 2, some at 8 and 64, all of [2]^3's at 512
+        monkeypatch.setattr(oracle, "_ROW_BITS", row_bits)
+        for d in enumerate_diagrams(2, 2, 2):
+            assert hilbert_function(d, 6).values == reference_hilbert_function(d, 6), d
+
+    def test_projection_split_of_the_cube(self):
+        # at the default degree the budget answers 392 of the 579
+        # projection-property diagrams of [3]^3 and refuses the rest
+        answered = refused = 0
+        for d in enumerate_diagrams(3, 3, 3):
+            if has_projection_property(d):
+                try:
+                    hilbert_invariants(d)
+                    answered += 1
+                except TooLarge:
+                    refused += 1
+        assert (answered, refused) == (392, 187)
 
     def test_agrees_with_facets_sample(self):
         for d in list(enumerate_diagrams(2, 2, 3)):
