@@ -165,6 +165,11 @@ class TestOracleCmd:
         code, _, err = run(capsys, "oracle", BOX222, "--limit", "4")
         assert code == 4 and err
 
+    def test_hilbert_table_past_the_budget_exits_four(self, capsys):
+        code, out, err = run(capsys, "oracle", '{"layers": [[1]]}',
+                             "--hilbert-degree", "3000000000")
+        assert code == 4 and not out and "would exceed 5000000 products" in err
+
 
 class TestCompare:
     def test_monotone_pair(self, capsys):
