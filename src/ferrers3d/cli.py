@@ -19,7 +19,6 @@ from dataclasses import asdict
 
 from . import closed_forms, families, minors, oracle
 from .diagram import (
-    INDUCTION,
     Diagram,
     Point,
     diagram_from_json,
@@ -29,7 +28,7 @@ from .diagram import (
     profile,
     zones,
 )
-from .engine import PAST_LAYER_1, Engine, SuffixState, successor
+from .engine import Engine
 from .errors import Ferrers3DError, InsufficientDegree, LinkMismatch, TooLarge, UnsupportedDiagram
 
 EXIT_OK = 0
@@ -256,36 +255,19 @@ def _cmd_oracle(args) -> int:
 
 
 def _link_diagnostic(d1: Diagram, d2: Diagram, engine: Engine) -> list[dict]:
-    """Shared normal first-layer points whose link multiplicity drops from
-    the smaller diagram to the larger one, in the smaller one's induction
-    order; explains monotonicity failures outside the strong projection
-    regime."""
-    out, walk = [], SuffixState(d1, Point(1, 1, 1), INDUCTION)
-    while walk.start is not PAST_LAYER_1:
-        first, walk = walk, successor(walk)
-        u = first.start
-        if u not in d2:
-            continue
-        states = [first, SuffixState(d2, u, INDUCTION)]
-        normal = []
-        for s in states:
-            with _internal_errors(s.host):  # the normality cross-check can fail
-                normal.append(s.is_normal)
-        if not all(normal):
-            continue
-        values = []
-        for s in states:
-            with _internal_errors(s.host):
-                values.append(engine.suffix_invariants(engine.link_state(s)))
-        if values[0][1] > values[1][1]:
-            out.append(
-                {
-                    "u": list(u),
-                    "link_mult": [values[0][1], values[1][1]],
-                    "link_reg": [values[0][0], values[1][0]],
-                }
-            )
-    return out
+    """Normal first-layer points of the smaller diagram whose link
+    multiplicity drops from it to the larger one, in its induction order;
+    explains monotonicity failures outside the strong projection regime."""
+    values = []
+    for d in (d1, d2):
+        with _internal_errors(d):
+            values.append(engine.link_values(d))
+    small, large = values
+    return [
+        {"u": list(u), "link_mult": [mult, large[u][1]], "link_reg": [reg, large[u][0]]}
+        for u, (reg, mult) in small.items()
+        if u in large and mult > large[u][1]  # absent: u is a phantom point of d2
+    ]
 
 
 def _cmd_compare(args) -> int:

@@ -9,7 +9,9 @@ link is re-expressed as a suffix state of a smaller diagram built from the
 zones around the point.  Simplex join factors never change regularity or
 multiplicity and are dropped.  One loop walks the whole chain, through the
 stage-two flip and down the layers; only links recurse, so the stack depth
-grows with link nesting, not with the number of layers.
+grows with link nesting, not with the number of layers.  ``link_values``
+walks layer 1 in the induction order by ``successor`` and gives each normal
+point's link value: the per-point terms of the fold, which ``compare`` reports.
 
 Because the link re-expression is intricate, every constructed link state
 is validated against the zone formula, column by column, and (on small
@@ -355,6 +357,20 @@ class Engine:
                     base = (max(reg, lreg + 1), mult + lmult)
             self._memo[key] = base
         return base
+
+    def link_values(self, diagram: Diagram) -> dict[Point, tuple[int, int]]:
+        """(regularity, multiplicity) of the link of each normal first-layer
+        point, keyed in the induction order: the terms that the shedding
+        folds into the diagram's invariants.  Stage-two points are asked as
+        unflipped states."""
+        if not has_projection_property(diagram):
+            raise UnsupportedDiagram("the diagram lacks the projection property")
+        out, s = {}, _first_state(diagram, INDUCTION)
+        while s.start is not PAST_LAYER_1:
+            if s.is_normal:
+                out[s.start] = self.suffix_invariants(self.link_state(s))
+            s = successor(s)
+        return out
 
     # -- internals ---------------------------------------------------------------
 

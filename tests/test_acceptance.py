@@ -27,7 +27,7 @@ from ferrers3d import (
     toric_gb_check,
     validate,
 )
-from ferrers3d.engine import INDUCTION, Engine, SuffixState
+from ferrers3d.engine import Engine
 from ferrers3d.errors import TooLarge
 from ferrers3d.families import enumerate_diagrams
 
@@ -97,10 +97,7 @@ def test_criterion_4_link_multiplicity_regression(shared_engine):
     d1 = from_generators([(1, 3, 2), (2, 2, 3)])
     d2 = box(2, 3, 3)
     u = Point(1, 3, 1)
-    mults = []
-    for d in (d1, d2):
-        link = shared_engine.link_state(SuffixState(d, u, INDUCTION))
-        mults.append(shared_engine.suffix_invariants(link)[1])
+    mults = [shared_engine.link_values(d)[u][1] for d in (d1, d2)]
     assert mults == [2, 1]
     _ok(4, "link multiplicities at (1,3,1) are exactly 2 (smaller diagram) and 1 (box)")
 

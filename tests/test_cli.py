@@ -8,11 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ferrers3d import box, diagram_from_json, diagram_to_json
-from ferrers3d.cli import main
+from ferrers3d import (
+    Point,
+    box,
+    diagram_from_json,
+    diagram_to_json,
+    has_projection_property,
+    has_strong_projection_property,
+)
+from ferrers3d.cli import _link_diagnostic, main
 from ferrers3d import closed_forms, engine, oracle
-from ferrers3d.engine import Engine
+from ferrers3d.engine import INDUCTION, PAST_LAYER_1, Engine, SuffixState, successor
 from ferrers3d.errors import LinkMismatch
+from ferrers3d.families import enumerate_diagrams
 from ferrers3d.oracle import InvariantsReport
 
 CLOSURE_JSON = '{"generators": [[1, 3, 2], [2, 2, 3]]}'
@@ -203,6 +211,42 @@ class TestCompare:
         assert data["hypothesis_strong_projection"] is False
         diag = data["link_diagnostic"]
         assert {"u": [1, 3, 1], "link_mult": [2, 1], "link_reg": [1, 0]} in diag
+
+
+# Reference form of the link diagnostic: its own walk of the smaller
+# diagram's first layer by ``successor``, which ``Engine.link_values``
+# replaced.  Each shared point is asked in both diagrams.
+
+
+def reference_link_diagnostic(d1, d2, engine):
+    out, walk = [], SuffixState(d1, Point(1, 1, 1), INDUCTION)
+    while walk.start is not PAST_LAYER_1:
+        first, walk = walk, successor(walk)
+        u = first.start
+        if u not in d2:
+            continue
+        states = [first, SuffixState(d2, u, INDUCTION)]
+        if not all(s.is_normal for s in states):
+            continue
+        values = [engine.suffix_invariants(engine.link_state(s)) for s in states]
+        if values[0][1] > values[1][1]:
+            out.append({"u": list(u), "link_mult": [values[0][1], values[1][1]],
+                        "link_reg": [values[0][0], values[1][0]]})
+    return out
+
+
+def test_link_diagnostic_equals_the_reference_walk():
+    # every 100th nested pair of [3]^3 PP diagrams that are not both SPP
+    pp = [d for d in enumerate_diagrams(3, 3, 3) if has_projection_property(d)]
+    pairs = [(d1, d2) for d1 in pp for d2 in pp if d1 != d2 and d1.issubset(d2)
+             and not (has_strong_projection_property(d1) and has_strong_projection_property(d2))]
+    assert len(pairs) == 58258
+    eng, nonempty = Engine(), 0
+    for d1, d2 in pairs[::100]:
+        diagnostic = _link_diagnostic(d1, d2, eng)
+        assert diagnostic == reference_link_diagnostic(d1, d2, eng), (d1, d2)
+        nonempty += bool(diagnostic)
+    assert (len(pairs[::100]), nonempty) == (583, 45)
 
 
 class TestSweep:

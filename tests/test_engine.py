@@ -25,6 +25,7 @@ from ferrers3d.engine import (
     Engine,
     SuffixState,
     _column_test,
+    _flip_state,
     canonical_key,
     realized_set,
     successor,
@@ -124,6 +125,53 @@ class TestSuffixInvariants:
             for later, earlier in zip(values[1:], values):
                 assert earlier[0] >= later[0]
                 assert earlier[1] >= later[1]
+
+
+@pytest.fixture(scope="module")
+def pp_layer_walks():
+    """Every PP diagram of [3]^3 and every 100th of [4]^3, with its
+    ``link_values`` on one shared engine."""
+    small = [d for d in enumerate_diagrams(3, 3, 3) if has_projection_property(d)]
+    large = [d for d in enumerate_diagrams(4, 4, 4) if has_projection_property(d)][::100]
+    eng = Engine()
+    return eng, [(d, eng.link_values(d)) for d in small + large]
+
+
+class TestLinkValues:
+    """The per-point link values, which the shedding folds into the
+    diagram's totals as h = h_del + t * h_link."""
+
+    def test_totals_decompose_over_layer_one(self, pp_layer_walks):
+        # reg(d) = max(reg(deep), 1 + max lreg), mult(d) = mult(deep) + sum lmult
+        eng, walks = pp_layer_walks
+        assert len(walks) == 579 + 382
+        for d, values in walks:
+            deep = eng.invariants(Diagram(d.layers[1:])) if d.a > 1 else None
+            reg, mult = (deep.reg, deep.mult) if deep else (0, 1)
+            rep = eng.invariants(d)
+            assert rep.reg == max([reg] + [1 + lreg for lreg, _ in values.values()]), d
+            assert rep.mult == mult + sum(lmult for _, lmult in values.values()), d
+
+    def test_keys_are_the_normal_starts_in_order(self, pp_layer_walks):
+        # reference: the order key and the normality definition on the
+        # realized set of each start
+        for d, values in pp_layer_walks[1]:
+            deep = frozenset(p for p in d.points() if p.i >= 2)
+            order = first_layer_order(d, INDUCTION)
+            normal = [u for t, u in enumerate(order) if minors.is_normal_in(deep.union(order[t:]), u)]
+            assert list(values) == normal, d
+
+    def test_stage_two_normality_survives_the_flip(self, pp_layer_walks):
+        # the walk asks an unflipped stage-two state; the fold asks its flip
+        states = [SuffixState(d, u, INDUCTION) for d, _ in pp_layer_walks[1]
+                  for u in first_layer_order(d, INDUCTION) if u.k > d.layer_height(2)]
+        for s in states:
+            assert s.is_normal == _flip_state(s).is_normal, (s.host, s.start)
+        assert (len(states), sum(s.is_normal for s in states)) == (1336, 546)
+
+    def test_requires_projection_property(self, engine):
+        with pytest.raises(UnsupportedDiagram):
+            engine.link_values(from_generators([(1, 1, 3), (2, 3, 1), (3, 2, 2)]))
 
 
 class TestLinkState:
